@@ -2,6 +2,7 @@
 //  * packet-mode golden parity — refactoring the per-packet path behind
 //    workload::Traffic must not perturb a single record: summaries are
 //    pinned against values captured from the pre-refactor library;
+//  * all-to-all golden parity in both engines (every summary field);
 //  * record identity across Runner job counts for both engines;
 //  * flow-aggregate determinism across reruns, and seed sensitivity;
 //  * the SweepSpec workload-mode axis round-trips through the JSON sink
@@ -81,6 +82,78 @@ TEST(WorkloadSeam, PacketModeMatchesPreRefactorGolden) {
     EXPECT_NEAR(s.t_dns_mean_ms, golden.t_dns_mean_ms, 1e-8);
     EXPECT_NEAR(s.t_setup_mean_ms, golden.t_setup_mean_ms, 1e-8);
     EXPECT_NEAR(s.t_setup_p99_ms, golden.t_setup_p99_ms, 1e-8);
+  }
+}
+
+/// Every summary field of one all-to-all run of seam_config().
+struct AllToAllGolden {
+  ControlPlaneKind kind;
+  workload::Mode mode;
+  std::uint64_t sessions;
+  std::uint64_t established;
+  std::uint64_t completed;
+  std::uint64_t dns_failures;
+  std::uint64_t connect_failures;
+  std::uint64_t syn_retx;
+  std::uint64_t sessions_with_retx;
+  std::uint64_t miss_events;
+  std::uint64_t miss_drops;
+  std::uint64_t encapsulated;
+  double t_dns_mean_ms;
+  double t_dns_p95_ms;
+  double t_setup_mean_ms;
+  double t_setup_p50_ms;
+  double t_setup_p95_ms;
+  double t_setup_p99_ms;
+};
+
+// Captured (printed with %.17g) from the library whose all-to-all world
+// build ran one Dijkstra per source and copied the destination tables per
+// source: sharing those tables must not move a single record, in either
+// engine.  lisp-ms-repl also pins the replicated resolver's nearest-replica
+// ordering, which reads its delays off the same topology.
+constexpr AllToAllGolden kAllToAllGolden[] = {
+    {ControlPlaneKind::kAltDrop, workload::Mode::kAggregate, 231, 231, 231, 0,
+     0, 73, 73, 66, 73, 2541, 28.779365082251093, 142.1875, 1099.2913131341998,
+     128.125, 3306.6599999999999, 3306.6599999999999},
+    {ControlPlaneKind::kAltQueue, workload::Mode::kAggregate, 231, 231, 231, 0,
+     0, 0, 0, 66, 0, 2541, 28.779365082251093, 142.1875, 176.23488182683982,
+     128.125, 367.1875, 406.99231199999997},
+    {ControlPlaneKind::kPce, workload::Mode::kAggregate, 231, 231, 231, 0, 0,
+     0, 0, 0, 0, 2541, 28.968975471861437, 142.1875, 151.42897547186146,
+     128.125, 268.75, 307.25999999999999},
+    {ControlPlaneKind::kPce, workload::Mode::kPacket, 234, 234, 234, 0, 0, 0,
+     0, 0, 0, 2574, 29.469305726495719, 142.1875, 151.97007880341891, 128.125,
+     268.75, 307.38423800000004},
+    {ControlPlaneKind::kMsReplicated, workload::Mode::kPacket, 234, 201, 201,
+     0, 0, 127, 83, 227, 255, 2211, 29.269888290598317, 142.1875,
+     2971.4234159552234, 128.125, 9296.875, 21250},
+};
+
+TEST(WorkloadSeam, AllToAllMatchesGolden) {
+  for (const auto& golden : kAllToAllGolden) {
+    SCOPED_TRACE(std::string(topo::to_string(golden.kind)) + " " +
+                 workload::to_string(golden.mode));
+    auto config = seam_config(golden.kind, golden.mode);
+    config.mode = TrafficMode::kAllToAll;
+    Experiment experiment(std::move(config));
+    const auto s = experiment.run();
+    EXPECT_EQ(s.sessions, golden.sessions);
+    EXPECT_EQ(s.established, golden.established);
+    EXPECT_EQ(s.completed, golden.completed);
+    EXPECT_EQ(s.dns_failures, golden.dns_failures);
+    EXPECT_EQ(s.connect_failures, golden.connect_failures);
+    EXPECT_EQ(s.syn_retransmissions, golden.syn_retx);
+    EXPECT_EQ(s.sessions_with_retransmission, golden.sessions_with_retx);
+    EXPECT_EQ(s.miss_events, golden.miss_events);
+    EXPECT_EQ(s.miss_drops, golden.miss_drops);
+    EXPECT_EQ(s.encapsulated, golden.encapsulated);
+    EXPECT_DOUBLE_EQ(s.t_dns_mean_ms, golden.t_dns_mean_ms);
+    EXPECT_DOUBLE_EQ(s.t_dns_p95_ms, golden.t_dns_p95_ms);
+    EXPECT_DOUBLE_EQ(s.t_setup_mean_ms, golden.t_setup_mean_ms);
+    EXPECT_DOUBLE_EQ(s.t_setup_p50_ms, golden.t_setup_p50_ms);
+    EXPECT_DOUBLE_EQ(s.t_setup_p95_ms, golden.t_setup_p95_ms);
+    EXPECT_DOUBLE_EQ(s.t_setup_p99_ms, golden.t_setup_p99_ms);
   }
 }
 
