@@ -92,10 +92,18 @@ void ReplicatedResolverSystem::attach_itr(topo::Internet& internet,
   // no local replica, which see every replica across the core) are rotated
   // by the ITR's domain so load spreads the way anycast vantage points do,
   // instead of every remote domain piling onto replica 0.
+  //
+  // Internet::build attaches ITRs only after every domain and the replica
+  // tier are wired, so the hub table built on the first call sees the whole
+  // topology: one tree from the core instead of a Dijkstra per ITR x
+  // replica.
+  if (!hub_.has_value()) {
+    hub_ = internet.network().hub_distances(internet.core_router().id());
+  }
   std::vector<std::pair<sim::SimDuration, net::Ipv4Address>> ranked;
   ranked.reserve(resolvers_.size());
   for (const auto* mr : resolvers_) {
-    const auto delay = internet.network().path_delay(itr.id(), mr->id());
+    const auto delay = hub_->delay(itr.id(), mr->id());
     ranked.emplace_back(delay.value_or(sim::SimDuration::seconds(3600)),
                         mr->address());
   }

@@ -17,19 +17,21 @@
 //     spaced "home" domains rather than at the core (the stand-in for
 //     anycast PoPs).
 //   * Each ITR resolves via its nearest replica — distances come from the
-//     built topology (sim::Network::path_delay), and the ordered replica
-//     list is baked into a lisp::ReplicaPullResolution, which rotates to
-//     the next-nearest replica on every retry so a dead replica costs one
-//     request timeout instead of the session.
+//     built topology (one sim::HubDistances table per build), and the
+//     ordered replica list is baked into a lisp::ReplicaPullResolution,
+//     which rotates to the next-nearest replica on every retry so a dead
+//     replica costs one request timeout instead of the session.
 //
 // Built entirely through the MappingSystem interface: topo::Internet knows
 // nothing about it beyond the registry entry.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "mapping/map_server.hpp"
 #include "mapping/mapping_system.hpp"
+#include "sim/network.hpp"
 
 namespace lispcp::mapping {
 
@@ -58,6 +60,8 @@ class ReplicatedResolverSystem final : public MappingSystem {
  private:
   std::vector<MapServer*> servers_;
   std::vector<MapResolver*> resolvers_;
+  /// Delays through the core, built on the first attach_itr.
+  std::optional<sim::HubDistances> hub_;
 };
 
 }  // namespace lispcp::mapping

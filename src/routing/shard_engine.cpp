@@ -134,13 +134,16 @@ std::uint64_t ConvergenceEngine::run_shard_window(std::size_t s,
   return queues_[s]->run_window(end, cap);
 }
 
-std::uint64_t ConvergenceEngine::remaining_cap(std::uint64_t max_events) const {
+std::uint64_t ConvergenceEngine::remaining_cap(
+    std::uint64_t max_events, std::uint64_t processed_at_entry) const {
   if (max_events == 0) return 0;
-  return processed_ >= max_events ? 1 : max_events - processed_;
+  const std::uint64_t used = processed_ - processed_at_entry;
+  return used >= max_events ? 1 : max_events - used;
 }
 
-void ConvergenceEngine::check_budget(std::uint64_t max_events) const {
-  if (max_events != 0 && processed_ >= max_events) {
+void ConvergenceEngine::check_budget(std::uint64_t max_events,
+                                     std::uint64_t processed_at_entry) const {
+  if (max_events != 0 && processed_ - processed_at_entry >= max_events) {
     throw std::runtime_error("ConvergenceEngine::run: event budget exhausted");
   }
 }
@@ -163,8 +166,9 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
   if (queues_.size() == 1) {
     sim::ShardQueue& queue = *queues_[0];
     while (!queue.empty()) {
-      processed_ += run_shard_window(0, kEndOfTime, remaining_cap(max_events));
-      check_budget(max_events);
+      processed_ += run_shard_window(
+          0, kEndOfTime, remaining_cap(max_events, processed_at_entry));
+      check_budget(max_events, processed_at_entry);
     }
     now_ = std::max(now_, queue.now());
     queue.set_now(now_);
@@ -189,7 +193,7 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
     // stays ~1x the budget instead of Kx.  A shard that stops mid-window
     // just resumes the same deterministic event order next epoch — fire
     // times don't change, so results are unaffected.
-    std::uint64_t cap = remaining_cap(max_events);
+    std::uint64_t cap = remaining_cap(max_events, processed_at_entry);
     if (cap != 0) cap = cap / queues_.size() + 1;
     run_epoch(next + epoch_, cap);
 
@@ -214,7 +218,7 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
       box.clear();
     }
     for (const std::uint64_t fired : fired_) processed_ += fired;
-    check_budget(max_events);
+    check_budget(max_events, processed_at_entry);
   }
 
   sim::SimTime global = now_;

@@ -119,9 +119,11 @@ class ConvergenceEngine {
                 sim::EventAction action);
 
   /// Runs until every shard queue drains; returns the global convergence
-  /// instant (unchanged if nothing was pending).  `max_events` guards
-  /// against runaway event chains (0 = unlimited), checked at epoch
-  /// boundaries.
+  /// instant (unchanged if nothing was pending).  `max_events` bounds the
+  /// events this call fires (0 = unlimited), guarding against runaway
+  /// event chains; it is checked at epoch boundaries and throws
+  /// std::runtime_error once exceeded.  Events of earlier runs do not
+  /// count, so a long soak of small convergences never exhausts it.
   sim::SimTime run(std::uint64_t max_events = 0);
 
   // Content tags (bit 63 = event kind; endpoints must be < 2^31, checked
@@ -151,8 +153,12 @@ class ConvergenceEngine {
   void run_epoch(sim::SimTime end, std::uint64_t cap);
   void ensure_workers();
   void worker_loop(std::size_t w);
-  [[nodiscard]] std::uint64_t remaining_cap(std::uint64_t max_events) const;
-  void check_budget(std::uint64_t max_events) const;
+  /// Budget left for the current run(), which began at
+  /// `processed_at_entry` events.
+  [[nodiscard]] std::uint64_t remaining_cap(
+      std::uint64_t max_events, std::uint64_t processed_at_entry) const;
+  void check_budget(std::uint64_t max_events,
+                    std::uint64_t processed_at_entry) const;
 
   sim::SimDuration epoch_;
   std::size_t workers_ = 1;

@@ -1,27 +1,126 @@
 #include "scenario/experiment.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace lispcp::scenario {
 
 namespace {
 
+sim::SimDuration require(std::optional<sim::SimDuration> delay,
+                         const char* what) {
+  if (!delay.has_value()) {
+    throw std::logic_error(std::string("aggregate world: ") + what);
+  }
+  return *delay;
+}
+
+/// The immutable tables every source's engine shares, built once per
+/// experiment: one Zipf table (every source has the same H * (D - 1)
+/// destination ranks) and the destination side of whichever engine runs.
+struct SharedTables {
+  std::shared_ptr<const sim::ZipfDistribution> zipf;
+  /// Packet engine: the Blueprint's host names.
+  std::shared_ptr<const std::vector<dns::DomainName>> host_names;
+  /// Flow-aggregate engine: delays through the core, and the destinations.
+  std::optional<sim::HubDistances> hub;
+  std::shared_ptr<const workload::AggregateDestinations> destinations;
+};
+
+/// The flow-aggregate engine's view of every destination domain and host,
+/// read off the *actual* Internet so the engine has no topology assumptions
+/// of its own.  The engine composes a path as source-to-core plus
+/// core-to-destination, which is exact only if no two domains meet anywhere
+/// but the core: each domain's nodes must share one component of the graph
+/// without the core, and no other domain may share it.
+std::shared_ptr<const workload::AggregateDestinations>
+build_aggregate_destinations(topo::Internet& net, const sim::HubDistances& hub) {
+  const auto& spec = net.spec();
+  auto tables = std::make_shared<workload::AggregateDestinations>();
+  tables->peers.reserve(spec.domains);
+  tables->hosts.reserve(spec.domains * spec.hosts_per_domain);
+  std::vector<std::uint32_t> components;
+  components.reserve(spec.domains);
+  for (std::size_t d = 0; d < spec.domains; ++d) {
+    auto& dom = net.domain(d);
+    const sim::NodeId host0 = dom.hosts.front()->id();
+    const std::uint32_t component = hub.component(host0);
+    if (hub.component(dom.resolver->id()) != component ||
+        hub.component(dom.authoritative->id()) != component) {
+      throw std::logic_error("aggregate world: domain " + dom.name +
+                             " is split by the core");
+    }
+    components.push_back(component);
+
+    workload::AggregateDestinations::Peer peer;
+    peer.xtr = dom.xtrs.front();
+    peer.irc = dom.irc.get();
+    peer.host_to_hub = require(hub.to_hub(host0), "disconnected domain");
+    peer.auth_to_hub =
+        require(hub.to_hub(dom.authoritative->id()), "disconnected DNS path");
+    peer.auth_processing = dom.authoritative->processing_delay();
+    if (dom.pce != nullptr) {
+      peer.pce_processing = dom.pce->config().processing_delay;
+    }
+    tables->peers.push_back(peer);
+
+    for (std::size_t h = 0; h < spec.hosts_per_domain; ++h) {
+      workload::AggregateDestinations::Host host;
+      host.eid = net.host_eid(d, h);
+      const lisp::MapEntry* best = nullptr;
+      for (const auto& entry : dom.registered_entries) {
+        if (entry.eid_prefix.contains(host.eid) &&
+            (best == nullptr ||
+             entry.eid_prefix.length() > best->eid_prefix.length())) {
+          best = &entry;
+        }
+      }
+      host.registered_prefix =
+          best != nullptr ? best->eid_prefix : dom.eid_prefix;
+      tables->hosts.push_back(host);
+    }
+  }
+  std::sort(components.begin(), components.end());
+  if (std::adjacent_find(components.begin(), components.end()) !=
+      components.end()) {
+    throw std::logic_error(
+        "aggregate world: two domains are joined outside the core");
+  }
+  return tables;
+}
+
+SharedTables build_shared_tables(topo::Internet& net, double zipf_alpha) {
+  const auto& spec = net.spec();
+  SharedTables shared;
+  shared.zipf = std::make_shared<const sim::ZipfDistribution>(
+      spec.hosts_per_domain * (spec.domains - 1), zipf_alpha);
+  if (spec.workload_mode == workload::Mode::kAggregate) {
+    shared.hub = net.network().hub_distances(net.core_router().id());
+    shared.destinations = build_aggregate_destinations(net, *shared.hub);
+  } else {
+    // Aliases the Blueprint, which owns the names.
+    const auto& blueprint = net.blueprint();
+    shared.host_names = std::shared_ptr<const std::vector<dns::DomainName>>(
+        blueprint, &blueprint->host_names());
+  }
+  return shared;
+}
+
 /// Assembles the flow-aggregate engine's view of the built topology for one
-/// source domain.  Everything the closed-form session model needs — path
-/// delays, DNS leg costs, provider links, miss policy — is read off the
-/// *actual* Internet, so the engine has no topology assumptions of its own.
-/// Two Dijkstra sweeps (client root, resolver root) amortize the per-peer
-/// path queries; per-pair Network::path_delay would be quadratic at 10k
-/// domains.
-workload::AggregateWorld build_aggregate_world(topo::Internet& net,
-                                               std::size_t source) {
+/// source domain: its ITR, uplinks, DNS legs and miss policy, plus the
+/// shared destination tables.  Only the source's own delays are computed
+/// here, in O(1) hub lookups and one search inside the domain.
+workload::AggregateWorld build_aggregate_world(
+    topo::Internet& net, const SharedTables& shared,
+    const workload::DestinationRanks& ranks) {
   workload::AggregateWorld world;
   world.sim = &net.sim();
   world.metrics = &net.metrics();
 
-  auto& network = net.network();
   const auto& spec = net.spec();
-  auto& src = net.domain(source);
+  auto& src = net.domain(ranks.source);
 
   lisp::TunnelRouter* front = src.xtrs.front();
   const bool lisp = front->config().itr_role;
@@ -51,82 +150,48 @@ workload::AggregateWorld build_aggregate_world(topo::Internet& net,
   // DNS model: warm resolution plus the per-tier iterative legs, all read
   // off the real node placement (so a PCE interposed in the DNS path is
   // included via its attachment links).
-  const auto from_client =
-      network.path_delays_from(src.hosts.front()->id());
-  const auto from_resolver = network.path_delays_from(src.resolver->id());
-  const auto leg = [&](const std::vector<std::optional<sim::SimDuration>>& spt,
-                       sim::NodeId to, sim::SimDuration processing) {
-    const auto& d = spt.at(to.value());
-    if (!d.has_value()) {
-      throw std::logic_error("aggregate world: disconnected DNS path");
-    }
-    return 2 * *d + processing;
+  const auto& hub = *shared.hub;
+  const sim::NodeId client = src.hosts.front()->id();
+  const sim::NodeId resolver = src.resolver->id();
+  const auto leg = [&](sim::NodeId from, sim::NodeId to,
+                       sim::SimDuration processing) {
+    return 2 * require(hub.delay(from, to), "disconnected DNS path") +
+           processing;
   };
-  world.dns_warm = leg(from_client, src.resolver->id(),
-                       src.resolver->config().processing_delay);
+  world.dns_warm =
+      leg(client, resolver, src.resolver->config().processing_delay);
   world.dns_leg_root =
-      leg(from_resolver, net.root_dns().id(), net.root_dns().processing_delay());
+      leg(resolver, net.root_dns().id(), net.root_dns().processing_delay());
   world.dns_leg_tld =
-      leg(from_resolver, net.tld_dns().id(), net.tld_dns().processing_delay());
+      leg(resolver, net.tld_dns().id(), net.tld_dns().processing_delay());
 
-  std::vector<std::uint32_t> peer_of_domain(spec.domains, 0);
-  for (std::size_t d = 0; d < spec.domains; ++d) {
-    if (d == source) continue;
-    auto& dom = net.domain(d);
-    workload::AggregateWorld::Peer peer;
-    peer.xtr = lisp ? dom.xtrs.front() : nullptr;
-    peer.irc = dom.irc.get();
-    const auto& owd = from_client.at(dom.hosts.front()->id().value());
-    if (!owd.has_value()) {
-      throw std::logic_error("aggregate world: disconnected domain");
-    }
-    peer.owd = *owd;
-    peer.dns_leg_auth = leg(from_resolver, dom.authoritative->id(),
-                            dom.authoritative->processing_delay());
-    if (src.pce != nullptr && dom.pce != nullptr) {
-      // Step-6 interception: the authoritative answer detours through the
-      // remote PCE's encapsulation and the local PCE's port-P relay.
-      peer.dns_leg_auth += src.pce->config().processing_delay +
-                           dom.pce->config().processing_delay;
-    }
-    peer_of_domain[d] = static_cast<std::uint32_t>(world.peers.size());
-    world.peers.push_back(std::move(peer));
+  world.client_to_hub = require(hub.to_hub(client), "disconnected domain");
+  world.resolver_to_hub =
+      require(hub.to_hub(resolver), "disconnected DNS path");
+  if (src.pce != nullptr) {
+    world.pce_processing = src.pce->config().processing_delay;
   }
-
-  // Destination ranks mirror Internet::destination_names: interleaved
-  // host-major so Zipf skew spreads over sites identically in both modes.
-  for (std::size_t h = 0; h < spec.hosts_per_domain; ++h) {
-    for (std::size_t d = 0; d < spec.domains; ++d) {
-      if (d == source) continue;
-      workload::AggregateWorld::Destination dest;
-      dest.peer = peer_of_domain[d];
-      dest.eid = net.host_eid(d, h);
-      const lisp::MapEntry* best = nullptr;
-      for (const auto& entry : net.domain(d).registered_entries) {
-        if (entry.eid_prefix.contains(dest.eid) &&
-            (best == nullptr ||
-             entry.eid_prefix.length() > best->eid_prefix.length())) {
-          best = &entry;
-        }
-      }
-      dest.registered_prefix =
-          best != nullptr ? best->eid_prefix : net.domain(d).eid_prefix;
-      world.destinations.push_back(dest);
-    }
-  }
+  world.destinations = shared.destinations;
+  world.ranks = ranks;
+  world.zipf = shared.zipf;
   return world;
 }
 
 std::unique_ptr<workload::Traffic> make_traffic(topo::Internet& net,
+                                                const SharedTables& shared,
                                                 std::size_t source,
                                                 const workload::TrafficConfig& cfg,
                                                 sim::Rng rng) {
-  if (net.spec().workload_mode == workload::Mode::kAggregate) {
+  const auto& spec = net.spec();
+  const workload::DestinationRanks ranks{spec.domains, spec.hosts_per_domain,
+                                         source};
+  if (spec.workload_mode == workload::Mode::kAggregate) {
     return std::make_unique<workload::FlowAggregateEngine>(
-        build_aggregate_world(net, source), cfg, std::move(rng));
+        build_aggregate_world(net, shared, ranks), cfg, std::move(rng));
   }
   return std::make_unique<workload::TrafficGenerator>(
-      net.sim(), net.domain(source).hosts, net.destination_names(source), cfg,
+      net.sim(), net.domain(source).hosts,
+      workload::DestinationNames{shared.host_names, ranks, shared.zipf}, cfg,
       std::move(rng));
 }
 
@@ -137,9 +202,12 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
 
   auto& net = *internet_;
   sim::Rng seeder(config_.spec.seed ^ 0x9e3779b97f4a7c15ull);
+  const SharedTables shared =
+      build_shared_tables(net, config_.traffic.zipf_alpha);
 
   if (config_.mode == TrafficMode::kSingleSource) {
-    generators_.push_back(make_traffic(net, 0, config_.traffic, seeder.fork()));
+    generators_.push_back(
+        make_traffic(net, shared, 0, config_.traffic, seeder.fork()));
   } else {
     // Split the aggregate rate evenly over the sending domains.
     workload::TrafficConfig per_domain = config_.traffic;
@@ -151,7 +219,8 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
           config_.traffic.max_sessions / config_.spec.domains;
     }
     for (std::size_t d = 0; d < config_.spec.domains; ++d) {
-      generators_.push_back(make_traffic(net, d, per_domain, seeder.fork()));
+      generators_.push_back(
+          make_traffic(net, shared, d, per_domain, seeder.fork()));
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/flat_map.hpp"
+
 namespace lispcp::sim {
 
 namespace {
@@ -119,22 +121,79 @@ void Network::install_routes_toward(NodeId target, const net::Ipv4Prefix& prefix
 
 std::optional<SimDuration> Network::path_delay(NodeId from, NodeId to) const {
   if (from == to) return SimDuration{};
-  const auto spt = shortest_paths_from(to);
-  if (!spt[from.value()].reachable) return std::nullopt;
-  return spt[from.value()].distance;
+  // Dijkstra from `from`, stopped when `to` is settled.  Distances live in
+  // a hash map, so the cost follows the nodes explored rather than the
+  // size of the network.
+  core::FlatMap<std::uint32_t, std::int64_t> best;  // node -> distance ns
+  using QueueItem = std::pair<std::int64_t, std::uint32_t>;  // (dist ns, node)
+  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> frontier;
+  best[from.value()] = 0;
+  frontier.emplace(0, from.value());
+  while (!frontier.empty()) {
+    const auto [dist_ns, u] = frontier.top();
+    frontier.pop();
+    if (dist_ns > *best.find(u)) continue;  // stale entry
+    if (u == to.value()) return SimDuration::nanos(dist_ns);
+    for (Link* link : incident_[u]) {
+      if (!link->is_up()) continue;
+      const std::uint32_t v = link->peer_of(NodeId(u)).value();
+      const std::int64_t alt = dist_ns + link->config().delay.ns();
+      auto [dist_v, inserted] = best.try_emplace(v);
+      if (inserted || alt < *dist_v) {
+        *dist_v = alt;
+        frontier.emplace(alt, v);
+      }
+    }
+  }
+  return std::nullopt;
 }
 
-std::vector<std::optional<SimDuration>> Network::path_delays_from(
-    NodeId source) const {
-  // Link delays are symmetric per LinkConfig, so the reverse tree rooted at
-  // `source` doubles as the forward one.
-  const auto spt = shortest_paths_from(source);
-  std::vector<std::optional<SimDuration>> out(spt.size());
-  for (std::size_t i = 0; i < spt.size(); ++i) {
-    if (spt[i].reachable) out[i] = spt[i].distance;
+HubDistances Network::hub_distances(NodeId hub) const {
+  if (!hub.valid() || hub.value() >= nodes_.size()) {
+    throw std::out_of_range("Network::hub_distances: bad NodeId");
   }
-  out[source.value()] = SimDuration{};
-  return out;
+  HubDistances table(*this, hub);
+  const auto spt = shortest_paths_from(hub);
+  table.to_hub_.resize(nodes_.size());
+  for (std::size_t i = 0; i < spt.size(); ++i) {
+    if (spt[i].reachable) table.to_hub_[i] = spt[i].distance;
+  }
+
+  // Label the components of the graph with the hub removed: a flood fill
+  // over up links that never enters the hub.  The hub is labelled alone.
+  constexpr std::uint32_t kUnlabelled = std::numeric_limits<std::uint32_t>::max();
+  table.component_.assign(nodes_.size(), kUnlabelled);
+  std::uint32_t next_label = 0;
+  table.component_[hub.value()] = next_label++;
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t seed = 0; seed < nodes_.size(); ++seed) {
+    if (table.component_[seed] != kUnlabelled) continue;
+    const std::uint32_t label = next_label++;
+    table.component_[seed] = label;
+    stack.push_back(seed);
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      for (Link* link : incident_[u]) {
+        if (!link->is_up()) continue;
+        const std::uint32_t v = link->peer_of(NodeId(u)).value();
+        if (table.component_[v] != kUnlabelled) continue;
+        table.component_[v] = label;
+        stack.push_back(v);
+      }
+    }
+  }
+  return table;
+}
+
+std::optional<SimDuration> HubDistances::delay(NodeId a, NodeId b) const {
+  if (a == b) return SimDuration{};
+  if (component(a) == component(b)) return network_->path_delay(a, b);
+  // Different components: every path between them crosses the hub.
+  const auto a_hub = to_hub(a);
+  const auto b_hub = to_hub(b);
+  if (!a_hub.has_value() || !b_hub.has_value()) return std::nullopt;
+  return *a_hub + *b_hub;
 }
 
 void Network::inject(NodeId at, net::Packet packet) {

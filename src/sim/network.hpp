@@ -62,6 +62,51 @@ struct NetworkCounters {
   std::uint64_t drops_mapping_miss = 0;
 };
 
+class Network;
+
+/// Exact one-way delays between any two nodes, answered in O(1) for pairs
+/// that can only reach each other through one hub node.  topo::Internet's
+/// transit core is such a hub: every domain, DNS server and piece of
+/// mapping infrastructure hangs off it, so removing it splits the graph
+/// into one component per domain plus the infrastructure.  The table holds
+/// one shortest-path tree rooted at the hub and the component labels of
+/// the graph with the hub removed.  Two nodes in different components have
+/// no path that avoids the hub, so their delay is d(a, hub) + d(hub, b):
+/// exact, because links are symmetric and delays are integer nanoseconds.
+/// Nodes in the same component fall back to Network::path_delay.
+///
+/// A snapshot of the link states at construction: a link that changes
+/// state, or a node or link added afterwards, is not reflected.
+class HubDistances {
+ public:
+  [[nodiscard]] NodeId hub() const noexcept { return hub_; }
+
+  /// One-way delay between `node` and the hub; nullopt if disconnected.
+  [[nodiscard]] std::optional<SimDuration> to_hub(NodeId node) const {
+    return to_hub_.at(node.value());
+  }
+
+  /// Component of `node` in the graph with the hub removed; the hub has a
+  /// label of its own.  Nodes with different labels meet only at the hub.
+  [[nodiscard]] std::uint32_t component(NodeId node) const {
+    return component_.at(node.value());
+  }
+
+  /// Shortest-path one-way delay between `a` and `b`, equal to
+  /// Network::path_delay(a, b); nullopt if disconnected.
+  [[nodiscard]] std::optional<SimDuration> delay(NodeId a, NodeId b) const;
+
+ private:
+  friend class Network;
+  HubDistances(const Network& network, NodeId hub)
+      : network_(&network), hub_(hub) {}
+
+  const Network* network_;
+  NodeId hub_;
+  std::vector<std::optional<SimDuration>> to_hub_;  ///< by NodeId value
+  std::vector<std::uint32_t> component_;            ///< by NodeId value
+};
+
 class Network {
  public:
   explicit Network(Simulator& sim) : sim_(sim) {}
@@ -127,8 +172,13 @@ class Network {
 
   /// Shortest-path one-way delay between two nodes (propagation only), for
   /// computing the analytic OWD terms in the paper's formulas.  Returns
-  /// nullopt if disconnected.
+  /// nullopt if disconnected.  The search stops once it settles `to`, so a
+  /// query between nearby nodes touches only their neighbourhood.
   [[nodiscard]] std::optional<SimDuration> path_delay(NodeId from, NodeId to) const;
+
+  /// The exact hub-distance table for `hub` (see HubDistances): one
+  /// shortest-path tree plus one component labelling, O((V + E) log V).
+  [[nodiscard]] HubDistances hub_distances(NodeId hub) const;
 
   /// Entry point for packets originated by `at` (Node::send calls this).
   void inject(NodeId at, net::Packet packet);
@@ -143,14 +193,6 @@ class Network {
   [[nodiscard]] Tracer* tracer() const noexcept { return tracer_; }
 
   [[nodiscard]] const NetworkCounters& counters() const noexcept { return counters_; }
-
-  /// One-way propagation delay from `source` to every node (indexed by
-  /// NodeId value; nullopt = unreachable).  One Dijkstra amortized over all
-  /// targets — the flow-aggregate world builder asks for thousands of
-  /// node pairs sharing a root, where per-pair path_delay() would be
-  /// quadratic in the topology size.
-  [[nodiscard]] std::vector<std::optional<SimDuration>> path_delays_from(
-      NodeId source) const;
 
   /// Allocates an identifier unique within this network (session ids).
   /// Per-network rather than process-global so that concurrently running

@@ -51,6 +51,11 @@ class Blueprint {
     return host_names_[domain * shape_.hosts_per_domain + host];
   }
 
+  /// Every host's name, [domain * hosts_per_domain + host].
+  [[nodiscard]] const std::vector<dns::DomainName>& host_names() const noexcept {
+    return host_names_;
+  }
+
   /// EID of host h in domain d (hosts strided across the domain's /24).
   [[nodiscard]] net::Ipv4Address host_eid(std::size_t domain,
                                           std::size_t host) const {
@@ -63,8 +68,8 @@ class Blueprint {
     return site_prefixes_[domain];
   }
 
-  /// Names of every host outside `exclude_domain`, interleaved host-major
-  /// (the traffic generator's Zipf rank order).
+  /// Names of every host outside `exclude_domain`, interleaved host-major:
+  /// the Zipf rank order that workload::DestinationRanks computes.
   [[nodiscard]] std::vector<dns::DomainName> destination_names(
       std::size_t exclude_domain) const;
 

@@ -12,26 +12,25 @@ FlowAggregateEngine::FlowAggregateEngine(AggregateWorld world,
     : world_(std::move(world)),
       config_(config),
       rng_(rng),
-      zipf_(world_.destinations.empty() ? 1 : world_.destinations.size(),
-            config.zipf_alpha),
       epoch_len_(config.aggregate_epoch.ns() > 0
                      ? config.aggregate_epoch
                      : sim::SimDuration::millis(500)) {
   if (world_.sim == nullptr || world_.metrics == nullptr) {
     throw std::invalid_argument("FlowAggregateEngine: sim/metrics required");
   }
-  if (world_.destinations.empty()) {
+  const auto& ranks = world_.ranks;
+  if (ranks.size() == 0) {
     throw std::invalid_argument("FlowAggregateEngine: no destinations");
   }
-  for (const auto& dest : world_.destinations) {
-    if (dest.peer >= world_.peers.size()) {
-      throw std::invalid_argument("FlowAggregateEngine: bad peer index");
-    }
+  if (world_.destinations == nullptr ||
+      world_.destinations->peers.size() != ranks.domains ||
+      world_.destinations->hosts.size() !=
+          ranks.domains * ranks.hosts_per_domain ||
+      world_.zipf == nullptr || world_.zipf->size() != ranks.size()) {
+    throw std::invalid_argument(
+        "FlowAggregateEngine: destination or Zipf table does not match the "
+        "ranks");
   }
-  dest_states_.resize(world_.destinations.size());
-  auth_referral_.resize(world_.peers.size());
-  epoch_counts_.assign(world_.destinations.size(), 0);
-  touched_.reserve(std::min<std::size_t>(world_.destinations.size(), 4096));
 }
 
 void FlowAggregateEngine::start() {
@@ -61,11 +60,13 @@ void FlowAggregateEngine::epoch() {
     // Bucket the epoch's flows over destinations by Zipf popularity;
     // first-touch order keeps per-destination processing deterministic.
     for (std::uint64_t i = 0; i < n; ++i) {
-      const auto rank = static_cast<std::uint32_t>(zipf_(rng_));
-      if (epoch_counts_[rank]++ == 0) touched_.push_back(rank);
+      const auto rank = static_cast<std::uint32_t>((*world_.zipf)(rng_));
+      if ((*epoch_counts_.try_emplace(rank).first)++ == 0) {
+        touched_.push_back(rank);
+      }
     }
     for (const auto rank : touched_) {
-      const auto flows = std::exchange(epoch_counts_[rank], 0);
+      const auto flows = std::exchange(*epoch_counts_.find(rank), 0);
       process(rank, flows);
     }
     touched_.clear();
@@ -75,9 +76,9 @@ void FlowAggregateEngine::epoch() {
 
 void FlowAggregateEngine::process(std::size_t rank, std::uint64_t flows) {
   if (flows == 0) return;
-  auto& state = dest_states_[rank];
+  auto& state = dest_states_[static_cast<std::uint32_t>(rank)];
   const auto now = world_.sim->now();
-  const auto& dest = world_.destinations[rank];
+  const auto& dest = host_of(rank);
 
   // DNS: the first flow of a cold window pays the iterative legs; arrivals
   // while that query is in flight coalesce at the resolver and pay the mean
@@ -127,7 +128,7 @@ void FlowAggregateEngine::process(std::size_t rank, std::uint64_t flows) {
     // Step-6 snooping: the PCE observes every DNS query (warm or cold — the
     // query observer fires before the resolver cache check) and pushes the
     // destination site's current mapping, so data packets never miss.
-    const auto* peer_irc = world_.peers[dest.peer].irc;
+    const auto* peer_irc = peer_of(rank).irc;
     if (peer_irc != nullptr) {
       world_.itr->install_mapping(peer_irc->site_mapping(dest.registered_prefix));
       lisp::AggregateCounts pushes;
@@ -167,7 +168,7 @@ void FlowAggregateEngine::process(std::size_t rank, std::uint64_t flows) {
 }
 
 void FlowAggregateEngine::settle(std::size_t rank, bool resolved) {
-  auto& state = dest_states_[rank];
+  auto& state = *dest_states_.find(static_cast<std::uint32_t>(rank));
   const auto now = world_.sim->now();
   std::vector<Batch> backlog = std::move(state.backlog);
   state.backlog.clear();
@@ -177,7 +178,7 @@ void FlowAggregateEngine::settle(std::size_t rank, bool resolved) {
     // The episode gave up (retries exhausted, no mapping): every backlogged
     // flow fails — in packet mode their SYN retries would re-trigger the
     // same doomed episode and eventually exhaust max_syn_retries.
-    for (const auto& batch : backlog) fail(rank, batch);
+    for (const auto& batch : backlog) fail(batch);
     return;
   }
 
@@ -293,11 +294,11 @@ void FlowAggregateEngine::complete(std::size_t rank, const Batch& batch,
                                    std::uint64_t overlay_syns) {
   const std::uint64_t flows = batch.flows;
   if (flows == 0) return;
-  const auto& dest = world_.destinations[rank];
-  const auto& peer = world_.peers[dest.peer];
+  const auto& peer = peer_of(rank);
   const bool lisp = world_.itr != nullptr;
+  const auto owd = world_.client_to_hub + peer.host_to_hub;
   const auto one_way =
-      peer.owd + (lisp ? world_.xtr_crossing_delay : sim::SimDuration{});
+      owd + (lisp ? world_.xtr_crossing_delay : sim::SimDuration{});
 
   const std::uint64_t cold = std::min(batch.cold_dns, flows);
   const std::uint64_t waiters = std::min(batch.dns_waiters, flows - cold);
@@ -372,7 +373,7 @@ void FlowAggregateEngine::complete(std::size_t rank, const Batch& batch,
   }
 }
 
-void FlowAggregateEngine::fail(std::size_t rank, const Batch& batch) {
+void FlowAggregateEngine::fail(const Batch& batch) {
   if (batch.flows == 0) return;
   const std::uint64_t cold = std::min(batch.cold_dns, batch.flows);
   const std::uint64_t waiters =
@@ -405,7 +406,7 @@ void FlowAggregateEngine::fail(std::size_t rank, const Batch& batch) {
 
 sim::SimDuration FlowAggregateEngine::cold_dns_latency(std::size_t rank) {
   const auto now = world_.sim->now();
-  const auto& dest = world_.destinations[rank];
+  const auto& peer = peer_of(rank);
   const auto referral_ttl =
       sim::SimDuration::seconds(world_.dns_referral_ttl_seconds);
   sim::SimDuration legs;
@@ -419,7 +420,8 @@ sim::SimDuration FlowAggregateEngine::cold_dns_latency(std::size_t rank) {
       tld_referral_.expiry = tld_referral_.ready + referral_ttl;
     }
   }
-  auto& auth = auth_referral_[dest.peer];
+  auto& auth =
+      auth_referral_[static_cast<std::uint32_t>(world_.ranks.domain(rank))];
   if (!auth.cached(now)) {
     legs += world_.dns_leg_tld;
     if (now >= auth.expiry) {
@@ -427,7 +429,14 @@ sim::SimDuration FlowAggregateEngine::cold_dns_latency(std::size_t rank) {
       auth.expiry = auth.ready + referral_ttl;
     }
   }
-  legs += world_.peers[dest.peer].dns_leg_auth;
+  // Resolver <-> authoritative round trip plus server processing; under the
+  // PCE the answer also detours through the remote PCE's encapsulation and
+  // the local PCE's port-P relay (Step-6 interception).
+  legs += 2 * (world_.resolver_to_hub + peer.auth_to_hub) +
+          peer.auth_processing;
+  if (world_.pce_processing.has_value() && peer.pce_processing.has_value()) {
+    legs += *world_.pce_processing + *peer.pce_processing;
+  }
   return world_.dns_warm + legs;
 }
 

@@ -34,8 +34,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/flat_map.hpp"
 #include "irc/irc_engine.hpp"
 #include "lisp/tunnel_router.hpp"
 #include "net/flow.hpp"
@@ -47,6 +50,32 @@
 #include "workload/traffic.hpp"
 
 namespace lispcp::workload {
+
+/// The destination side of the topology, built once per experiment and
+/// shared by every source's engine.  Delays are one-way to a hub every path
+/// between two domains crosses (topo::Internet's transit core), so the
+/// engine composes a source-to-destination delay as source-to-hub plus
+/// hub-to-destination; scenario::Experiment checks that no two domains
+/// meet anywhere but the hub, which makes the sum exact.  Pointers are
+/// non-owning and must outlive the engines.
+struct AggregateDestinations {
+  struct Peer {  ///< one destination domain
+    lisp::TunnelRouter* xtr = nullptr;   ///< primary border router
+    const irc::IrcEngine* irc = nullptr; ///< inbound-TE engine (PCE only)
+    sim::SimDuration host_to_hub;        ///< host 0 -> hub
+    sim::SimDuration auth_to_hub;        ///< authoritative server -> hub
+    sim::SimDuration auth_processing;    ///< authoritative server
+    /// The domain's PCE processing delay, when it runs one.
+    std::optional<sim::SimDuration> pce_processing;
+  };
+  std::vector<Peer> peers;  ///< indexed by domain
+
+  struct Host {
+    net::Ipv4Address eid;
+    net::Ipv4Prefix registered_prefix;  ///< the site mapping covering `eid`
+  };
+  std::vector<Host> hosts;  ///< [domain * hosts_per_domain + host]
+};
 
 /// Everything the engine needs to know about the built topology, assembled
 /// by scenario::Experiment (the layer that can see topo::Internet) so the
@@ -99,23 +128,18 @@ struct AggregateWorld {
   std::uint32_t dns_record_ttl_seconds = 300;
   std::uint32_t dns_referral_ttl_seconds = 3600;
 
-  // -- Destination side -----------------------------------------------------
-  struct Peer {  ///< one destination domain
-    lisp::TunnelRouter* xtr = nullptr;   ///< primary border router
-    const irc::IrcEngine* irc = nullptr; ///< inbound-TE engine (PCE only)
-    sim::SimDuration owd;                ///< host -> host one-way delay
-    sim::SimDuration dns_leg_auth;       ///< resolver <-> authoritative leg
-  };
-  std::vector<Peer> peers;  ///< indexed by destination domain position
+  /// One-way delays from the source's client host 0 and from its resolver
+  /// to the hub of `destinations`.
+  sim::SimDuration client_to_hub;
+  sim::SimDuration resolver_to_hub;
+  /// The source domain's PCE processing delay, when it runs one.
+  std::optional<sim::SimDuration> pce_processing;
 
-  struct Destination {
-    std::uint32_t peer = 0;  ///< index into `peers`
-    net::Ipv4Address eid;
-    net::Ipv4Prefix registered_prefix;  ///< the site mapping covering `eid`
-  };
-  /// Index-aligned with the Zipf ranks — must enumerate destinations in the
-  /// same interleaved order as topo::Internet::destination_names().
-  std::vector<Destination> destinations;
+  // -- Destination side -----------------------------------------------------
+  std::shared_ptr<const AggregateDestinations> destinations;
+  /// Zipf rank -> destination host (indexes destinations->hosts).
+  DestinationRanks ranks;
+  std::shared_ptr<const sim::ZipfDistribution> zipf;  ///< over ranks.size()
 };
 
 class FlowAggregateEngine final : public Traffic {
@@ -175,7 +199,7 @@ class FlowAggregateEngine final : public Traffic {
                 bool retransmitted, std::uint64_t overlay_syns = 0);
   /// Books one batch of failed sessions (resolution gave up; every SYN
   /// retry dropped at the ITR).
-  void fail(std::size_t rank, const Batch& batch);
+  void fail(const Batch& batch);
 
   /// Splits the front `take` flows off `batch` into a new Batch, taking the
   /// DNS cohort (trigger, then waiters) first — they are the earliest
@@ -185,6 +209,17 @@ class FlowAggregateEngine final : public Traffic {
   /// T_DNS of a cold resolution right now (updates the modeled caches).
   [[nodiscard]] sim::SimDuration cold_dns_latency(std::size_t rank);
 
+  /// The destination domain of `rank`.
+  [[nodiscard]] const AggregateDestinations::Peer& peer_of(
+      std::size_t rank) const {
+    return world_.destinations->peers[world_.ranks.domain(rank)];
+  }
+  /// The destination host of `rank`.
+  [[nodiscard]] const AggregateDestinations::Host& host_of(
+      std::size_t rank) const {
+    return world_.destinations->hosts[world_.ranks.slot(rank)];
+  }
+
   /// Deterministic fractional rounding with carry in `residue`.
   [[nodiscard]] static std::uint64_t round_with_residue(double& residue,
                                                         double want,
@@ -193,13 +228,15 @@ class FlowAggregateEngine final : public Traffic {
   AggregateWorld world_;
   TrafficConfig config_;
   sim::Rng rng_;
-  sim::ZipfDistribution zipf_;
   sim::SimDuration epoch_len_;
   sim::SimTime end_time_;
   std::uint64_t launched_ = 0;
   std::uint64_t completed_ = 0;
 
-  std::vector<DestState> dest_states_;
+  // Per-destination state exists only for the destinations this source has
+  // touched: a source starts a few dozen sessions in a run that could reach
+  // thousands of destinations.
+  core::FlatMap<std::uint32_t, DestState> dest_states_;  ///< by rank
   /// Modeled resolver referral cache (one resolver per source domain).  A
   /// referral only becomes usable when the upstream answer carrying it
   /// lands (`ready`), so resolutions racing ahead of that — a cold burst
@@ -213,10 +250,12 @@ class FlowAggregateEngine final : public Traffic {
     }
   };
   ReferralCache tld_referral_;
-  std::vector<ReferralCache> auth_referral_;  ///< per peer domain
+  core::FlatMap<std::uint32_t, ReferralCache> auth_referral_;  ///< by domain
 
-  // Epoch scratch (reused; avoids per-epoch allocation at 10k destinations).
-  std::vector<std::uint32_t> epoch_counts_;
+  // Epoch scratch: flows per rank drawn this epoch (entries persist at 0
+  // between epochs, so it is sized by the ranks ever drawn) and the ranks
+  // in first-draw order.
+  core::FlatMap<std::uint32_t, std::uint32_t> epoch_counts_;
   std::vector<std::uint32_t> touched_;
 };
 

@@ -5,19 +5,27 @@
 namespace lispcp::workload {
 
 TrafficGenerator::TrafficGenerator(sim::Simulator& sim, std::vector<Host*> clients,
-                                   std::vector<dns::DomainName> destinations,
+                                   DestinationNames destinations,
                                    TrafficConfig config, sim::Rng rng)
     : sim_(sim),
       clients_(std::move(clients)),
       destinations_(std::move(destinations)),
       config_(config),
-      rng_(rng),
-      zipf_(destinations_.empty() ? 1 : destinations_.size(), config.zipf_alpha) {
+      rng_(rng) {
   if (clients_.empty()) {
     throw std::invalid_argument("TrafficGenerator: no client hosts");
   }
-  if (destinations_.empty()) {
+  const auto& ranks = destinations_.ranks;
+  if (ranks.size() == 0) {
     throw std::invalid_argument("TrafficGenerator: no destinations");
+  }
+  if (destinations_.host_names == nullptr ||
+      destinations_.host_names->size() !=
+          ranks.domains * ranks.hosts_per_domain ||
+      destinations_.zipf == nullptr ||
+      destinations_.zipf->size() != ranks.size()) {
+    throw std::invalid_argument(
+        "TrafficGenerator: name or Zipf table does not match the ranks");
   }
   if (config_.sessions_per_second <= 0.0) {
     throw std::invalid_argument("TrafficGenerator: rate must be positive");
@@ -36,8 +44,9 @@ void TrafficGenerator::arrival() {
   if (config_.max_sessions != 0 && launched_ >= config_.max_sessions) return;
 
   Host* client = clients_[rng_.uniform_int(0, clients_.size() - 1)];
-  const auto& destination = destinations_[zipf_(rng_)];
-  client->start_session(destination);
+  const std::size_t rank = (*destinations_.zipf)(rng_);
+  client->start_session(
+      (*destinations_.host_names)[destinations_.ranks.slot(rank)]);
   ++launched_;
 
   const double mean_gap = 1.0 / config_.sessions_per_second;

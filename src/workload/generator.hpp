@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dns/name.hpp"
@@ -29,12 +30,21 @@ struct TrafficConfig {
   sim::SimDuration aggregate_epoch = sim::SimDuration::millis(500);
 };
 
+/// What the per-packet engine draws from: Zipf rank r names the host at
+/// `ranks.slot(r)` of `host_names`.  Both tables are built once per
+/// experiment and shared by every source.
+struct DestinationNames {
+  /// Every host's name, [domain * hosts_per_domain + host].
+  std::shared_ptr<const std::vector<dns::DomainName>> host_names;
+  DestinationRanks ranks;
+  std::shared_ptr<const sim::ZipfDistribution> zipf;  ///< over ranks.size()
+};
+
 class TrafficGenerator final : public Traffic {
  public:
-  /// `clients` originate sessions; `destinations` are resolvable names of
-  /// remote hosts, index-aligned with the Zipf ranks (index 0 = hottest).
+  /// `clients` originate sessions to `destinations`.
   TrafficGenerator(sim::Simulator& sim, std::vector<Host*> clients,
-                   std::vector<dns::DomainName> destinations, TrafficConfig config,
+                   DestinationNames destinations, TrafficConfig config,
                    sim::Rng rng);
 
   /// Schedules the arrival process from the current simulation time.
@@ -51,10 +61,9 @@ class TrafficGenerator final : public Traffic {
 
   sim::Simulator& sim_;
   std::vector<Host*> clients_;
-  std::vector<dns::DomainName> destinations_;
+  DestinationNames destinations_;
   TrafficConfig config_;
   sim::Rng rng_;
-  sim::ZipfDistribution zipf_;
   sim::SimTime end_time_;
   std::uint64_t launched_ = 0;
 };

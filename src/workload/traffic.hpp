@@ -19,6 +19,7 @@
 // the workload::Mode axis on scenario::SweepSpec (Axis::workload_modes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -45,6 +46,33 @@ enum class Mode {
   if (text == "aggregate") return Mode::kAggregate;
   return std::nullopt;
 }
+
+/// One source domain's destinations by Zipf rank (0 = hottest): every host
+/// outside `source` on a `domains` x `hosts_per_domain` grid, host-major
+/// with the source skipped — the order of topo::Blueprint::destination_names
+/// (a test pins the two together).  Rank r is host r / (domains - 1) of the
+/// (r mod (domains - 1))-th domain other than the source, so an engine
+/// computes its destination instead of holding a per-source copy of the
+/// population, and reads per-host tables shared by every source.
+struct DestinationRanks {
+  std::size_t domains = 0;
+  std::size_t hosts_per_domain = 0;
+  std::size_t source = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return domains < 2 ? 0 : hosts_per_domain * (domains - 1);
+  }
+  /// Domain of the host at `rank`.
+  [[nodiscard]] std::size_t domain(std::size_t rank) const noexcept {
+    const std::size_t d = rank % (domains - 1);
+    return d < source ? d : d + 1;
+  }
+  /// Index of the host at `rank` in a [domain * hosts_per_domain + host]
+  /// table.
+  [[nodiscard]] std::size_t slot(std::size_t rank) const noexcept {
+    return domain(rank) * hosts_per_domain + rank / (domains - 1);
+  }
+};
 
 /// The engine seam: scenario::Experiment owns one Traffic per source domain
 /// and never looks behind it.

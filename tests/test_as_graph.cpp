@@ -33,8 +33,8 @@ TEST(AsGraph, DuplicateAsThrows) {
 TEST(AsGraph, UnknownAsThrows) {
   AsGraph graph;
   graph.add_as(AsNumber{1}, AsTier::kStub);
-  EXPECT_THROW(graph.tier(AsNumber{2}), std::out_of_range);
-  EXPECT_THROW(graph.neighbors(AsNumber{2}), std::out_of_range);
+  EXPECT_THROW((void)graph.tier(AsNumber{2}), std::out_of_range);
+  EXPECT_THROW((void)graph.neighbors(AsNumber{2}), std::out_of_range);
   EXPECT_THROW(graph.add_customer_provider(AsNumber{1}, AsNumber{2}),
                std::out_of_range);
 }

@@ -64,6 +64,60 @@ TEST(Bgp, WithdrawRemovesEverywhere) {
   EXPECT_GE(line.fabric->total_routes_withdrawn(), 1u);
 }
 
+TEST(Bgp, EventBudgetCountsEachConvergenceAlone) {
+  // On one and on three shards (the single-queue and the epoch paths).
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    // A tier-1 over a transit with ten stub customers, 3 to 12.
+    AsGraph graph;
+    graph.add_as(AsNumber{1}, AsTier::kTier1);
+    graph.add_as(AsNumber{2}, AsTier::kTransit);
+    graph.add_customer_provider(AsNumber{2}, AsNumber{1});
+    for (std::uint32_t stub = 3; stub <= 12; ++stub) {
+      graph.add_as(AsNumber{stub}, AsTier::kStub);
+      graph.add_customer_provider(AsNumber{stub}, AsNumber{2});
+    }
+    BgpConfig config;
+    config.shards = shards;
+    config.shard_workers = 1;
+    BgpFabric fabric(graph, config);
+
+    // The largest single convergence of one flap sizes a budget every
+    // convergence fits in (the budget throws once reached, hence + 1).
+    std::uint64_t per_run = 0;
+    for (const auto& delta : {RouteDelta::announce(AsNumber{3}, kPrefix),
+                              RouteDelta::withdraw(AsNumber{3}, kPrefix)}) {
+      fabric.apply({delta});
+      fabric.run_to_convergence();
+      per_run = std::max(per_run, fabric.last_run_events());
+    }
+    ASSERT_GT(per_run, 1u);
+    const std::uint64_t budget = per_run + 1;
+
+    // A soak of small convergences fires many budgets' worth in total.
+    for (int flap = 0; flap < 40; ++flap) {
+      fabric.apply({RouteDelta::announce(AsNumber{3}, kPrefix)});
+      EXPECT_NO_THROW(fabric.run_to_convergence(budget));
+      fabric.apply({RouteDelta::withdraw(AsNumber{3}, kPrefix)});
+      EXPECT_NO_THROW(fabric.run_to_convergence(budget));
+    }
+    EXPECT_GT(fabric.engine().events_processed(), 20 * budget);
+
+    // One convergence past the same budget is still a runaway: every stub
+    // originating a prefix of its own at once.
+    std::vector<RouteDelta> storm;
+    for (std::uint32_t stub = 4; stub <= 12; ++stub) {
+      storm.push_back(RouteDelta::announce(
+          AsNumber{stub},
+          net::Ipv4Prefix(
+              net::Ipv4Address(100, static_cast<std::uint8_t>(stub), 0, 0),
+              16)));
+    }
+    fabric.apply(storm);
+    EXPECT_THROW(fabric.run_to_convergence(budget), std::runtime_error);
+  }
+}
+
 TEST(Bgp, WithdrawOfUnknownOriginIsNoOp) {
   Line line;
   line.fabric->apply({RouteDelta::withdraw(AsNumber{2}, kPrefix)});

@@ -25,8 +25,8 @@ TEST(Ipv4Address, OctetConstruction) {
 
 TEST(Ipv4Address, OctetOutOfRangeThrows) {
   Ipv4Address a(1, 2, 3, 4);
-  EXPECT_THROW(a.octet(4), std::out_of_range);
-  EXPECT_THROW(a.octet(-1), std::out_of_range);
+  EXPECT_THROW((void)a.octet(4), std::out_of_range);
+  EXPECT_THROW((void)a.octet(-1), std::out_of_range);
 }
 
 TEST(Ipv4Address, ParseValid) {
@@ -125,7 +125,7 @@ TEST(Ipv4Prefix, Nth) {
   EXPECT_EQ(p.nth(0), Ipv4Address(100, 64, 3, 0));
   EXPECT_EQ(p.nth(10), Ipv4Address(100, 64, 3, 10));
   EXPECT_EQ(p.nth(255), Ipv4Address(100, 64, 3, 255));
-  EXPECT_THROW(p.nth(256), std::out_of_range);
+  EXPECT_THROW((void)p.nth(256), std::out_of_range);
 }
 
 TEST(Ipv4Prefix, HostPrefix) {

@@ -280,6 +280,218 @@ TEST(Network, PathDelayMatchesTopology) {
   EXPECT_FALSE(f.net.path_delay(a.id(), island.id()).has_value());
 }
 
+TEST(Network, PathDelayStopsAtTargetAfterShorterDetour) {
+  // a-b is discovered first (10 ms) but the detour a-c-b (2 ms) is shorter:
+  // the search must settle b at 2 ms, not at its first, stale distance.
+  Fixture f;
+  auto& a = f.net.make<Node>("a");
+  auto& b = f.net.make<Node>("b");
+  auto& c = f.net.make<Node>("c");
+  auto& far = f.net.make<Node>("far");
+  LinkConfig slow;
+  slow.delay = SimDuration::millis(10);
+  LinkConfig fast;
+  fast.delay = SimDuration::millis(1);
+  f.net.connect(a.id(), b.id(), slow);
+  f.net.connect(a.id(), c.id(), fast);
+  f.net.connect(c.id(), b.id(), fast);
+  f.net.connect(b.id(), far.id(), slow);
+  EXPECT_EQ(f.net.path_delay(a.id(), b.id()), SimDuration::millis(2));
+  EXPECT_EQ(f.net.path_delay(b.id(), a.id()), SimDuration::millis(2));
+  EXPECT_EQ(f.net.path_delay(a.id(), far.id()), SimDuration::millis(12));
+
+  // A zero-delay link is settled like any other.
+  auto& twin = f.net.make<Node>("twin");
+  f.net.connect(far.id(), twin.id(), LinkConfig{.delay = SimDuration{}});
+  EXPECT_EQ(f.net.path_delay(a.id(), twin.id()), SimDuration::millis(12));
+}
+
+// ---------------------------------------------------------------------------
+// HubDistances against a plain full Dijkstra
+// ---------------------------------------------------------------------------
+
+/// A seeded random graph around a hub: small connected clusters, most
+/// attached to the hub by one or two links, every fourth an island with no
+/// link to it, `leaves` single nodes hanging off the hub, and `bridges`
+/// links between random clusters that bypass the hub (the hub no longer
+/// separates the clusters they join).
+struct RandomGraph {
+  struct Edge {
+    std::uint32_t a;
+    std::uint32_t b;
+    Link* link;
+  };
+
+  RandomGraph(std::uint64_t seed, int clusters, int bridges, int leaves = 3) {
+    Rng rng(seed);
+    const auto random_delay = [&rng] {
+      // Whole milliseconds half the time, so equal-length paths tie.
+      return rng.chance(0.5)
+                 ? SimDuration::millis(static_cast<std::int64_t>(rng.uniform_int(1, 5)))
+                 : SimDuration::micros(static_cast<std::int64_t>(rng.uniform_int(1, 9000)));
+    };
+    const auto link = [&](NodeId a, NodeId b) {
+      if (a == b || net.link_between(a, b) != nullptr) return;
+      Link& l = net.connect(a, b, LinkConfig{.delay = random_delay()});
+      edges.push_back(Edge{a.value(), b.value(), &l});
+    };
+    hub = net.make<Node>("hub").id();
+    std::vector<std::vector<NodeId>> members(clusters);
+    for (int c = 0; c < clusters; ++c) {
+      const auto size = rng.uniform_int(1, 6);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        const NodeId node =
+            net.make<Node>("c" + std::to_string(c) + "n" + std::to_string(i)).id();
+        // A random spanning tree keeps the cluster connected; extra chords
+        // give it alternative paths.
+        if (i > 0) link(node, members[c][rng.uniform_int(0, i - 1)]);
+        members[c].push_back(node);
+      }
+      for (std::uint64_t k = 0; k < size / 2; ++k) {
+        link(members[c][rng.uniform_int(0, size - 1)],
+             members[c][rng.uniform_int(0, size - 1)]);
+      }
+      if (c % 4 == 3) continue;  // an island
+      const auto attachments = rng.uniform_int(1, 2);
+      for (std::uint64_t k = 0; k < attachments; ++k) {
+        link(hub, members[c][rng.uniform_int(0, size - 1)]);
+      }
+    }
+    for (int i = 0; i < leaves; ++i) {
+      link(hub, net.make<Node>("leaf" + std::to_string(i)).id());
+    }
+    for (int i = 0; i < bridges; ++i) {
+      const auto& x = members[rng.uniform_int(0, clusters - 1)];
+      const auto& y = members[rng.uniform_int(0, clusters - 1)];
+      link(x[rng.uniform_int(0, x.size() - 1)], y[rng.uniform_int(0, y.size() - 1)]);
+    }
+  }
+
+  /// The reference: a plain O(V^2) Dijkstra over the edge list.
+  [[nodiscard]] std::vector<std::optional<SimDuration>> distances_from(
+      std::uint32_t source) const {
+    const std::size_t n = net.node_count();
+    std::vector<std::optional<SimDuration>> dist(n);
+    std::vector<bool> settled(n, false);
+    dist[source] = SimDuration{};
+    for (;;) {
+      std::optional<std::size_t> u;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!settled[i] && dist[i] && (!u || *dist[i] < *dist[*u])) u = i;
+      }
+      if (!u) return dist;
+      settled[*u] = true;
+      for (const Edge& e : edges) {
+        if (!e.link->is_up() || (e.a != *u && e.b != *u)) continue;
+        const std::uint32_t v = e.a == *u ? e.b : e.a;
+        const SimDuration alt = *dist[*u] + e.link->config().delay;
+        if (!dist[v] || alt < *dist[v]) dist[v] = alt;
+      }
+    }
+  }
+
+  Simulator sim;
+  Network net{sim};
+  NodeId hub;
+  std::vector<Edge> edges;
+};
+
+/// How the pairs of one comparison were answered.
+struct PairMix {
+  int through_hub = 0;     ///< different components, composed via the hub
+  int same_component = 0;  ///< neither endpoint is the hub
+  int unreachable = 0;
+};
+
+PairMix expect_matches_reference(const RandomGraph& g) {
+  const HubDistances table = g.net.hub_distances(g.hub);
+  EXPECT_EQ(table.hub(), g.hub);
+  PairMix mix;
+  const auto n = static_cast<std::uint32_t>(g.net.node_count());
+  for (std::uint32_t a = 0; a < n; ++a) {
+    const auto reference = g.distances_from(a);
+    EXPECT_EQ(table.to_hub(NodeId(a)), reference[g.hub.value()]);
+    for (std::uint32_t b = 0; b < n; ++b) {
+      const NodeId na(a);
+      const NodeId nb(b);
+      SCOPED_TRACE(g.net.node(na).name() + " -> " + g.net.node(nb).name());
+      EXPECT_EQ(table.delay(na, nb), reference[b]);
+      EXPECT_EQ(g.net.path_delay(na, nb), reference[b]);
+      if (!reference[b]) {
+        ++mix.unreachable;
+      } else if (table.component(na) != table.component(nb)) {
+        ++mix.through_hub;
+      } else if (a != b) {
+        ++mix.same_component;
+      }
+    }
+  }
+  return mix;
+}
+
+TEST(HubDistances, MatchesFullDijkstraWhenTheHubIsACutVertex) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomGraph g(seed, /*clusters=*/8, /*bridges=*/0);
+    const PairMix mix = expect_matches_reference(g);
+    EXPECT_GT(mix.through_hub, 0);
+    EXPECT_GT(mix.same_component, 0);
+    EXPECT_GT(mix.unreachable, 0);  // the islands
+  }
+}
+
+TEST(HubDistances, MatchesFullDijkstraWhenLinksBypassTheHub) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomGraph g(seed, /*clusters=*/6, /*bridges=*/3);
+    expect_matches_reference(g);
+  }
+}
+
+TEST(HubDistances, MatchesFullDijkstraWhenTheHubIsNoCutVertex) {
+  // One cluster and no leaves: removing the hub leaves a single component,
+  // so every answer falls back to path_delay, including pairs whose
+  // shortest path runs through the hub.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomGraph g(seed, /*clusters=*/1, /*bridges=*/0, /*leaves=*/0);
+    const auto table = g.net.hub_distances(g.hub);
+    for (std::uint32_t v = 1; v < g.net.node_count(); ++v) {
+      EXPECT_EQ(table.component(NodeId(v)), table.component(NodeId(1)));
+      EXPECT_NE(table.component(NodeId(v)), table.component(g.hub));
+    }
+    const PairMix mix = expect_matches_reference(g);
+    EXPECT_EQ(mix.unreachable, 0);
+  }
+}
+
+TEST(HubDistances, FollowsDownedLinks) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomGraph g(seed, /*clusters=*/6, /*bridges=*/seed % 2 == 0 ? 2 : 0);
+    Rng rng(seed * 7919);
+    for (int i = 0; i < 3; ++i) {
+      g.edges[rng.uniform_int(0, g.edges.size() - 1)].link->set_up(false);
+    }
+    expect_matches_reference(g);
+  }
+}
+
+TEST(HubDistances, IsASnapshotOfTheLinkStates) {
+  Fixture f;
+  auto& hub = f.net.make<Node>("hub");
+  auto& a = f.net.make<Node>("a");
+  auto& b = f.net.make<Node>("b");
+  f.net.connect(hub.id(), a.id(), LinkConfig{.delay = SimDuration::millis(3)});
+  Link& hb = f.net.connect(hub.id(), b.id(),
+                           LinkConfig{.delay = SimDuration::millis(4)});
+  const auto table = f.net.hub_distances(hub.id());
+  hb.set_up(false);
+  EXPECT_EQ(table.delay(a.id(), b.id()), SimDuration::millis(7));
+  EXPECT_FALSE(f.net.hub_distances(hub.id()).delay(a.id(), b.id()).has_value());
+  EXPECT_THROW((void)f.net.hub_distances(NodeId(99)), std::out_of_range);
+}
+
 TEST(Network, TracerSeesLifecycle) {
   struct CountingTracer : Tracer {
     int sends = 0, delivers = 0, forwards = 0, drops = 0;

@@ -78,9 +78,23 @@ TEST(Workload, GeneratorRateIsApproximatelyPoisson) {
 
 TEST(Workload, GeneratorValidatesInput) {
   sim::Simulator sim;
+  sim::Network network(sim);
+  auto& client = network.make<Host>("c", net::Ipv4Address(1, 0, 0, 1),
+                                    HostConfig{}, nullptr);
   TrafficConfig cfg;
-  EXPECT_THROW(TrafficGenerator(sim, {}, {dns::DomainName::from_string("x.y")},
-                                cfg, sim::Rng(1)),
+  // Two one-host domains: source 0's only destination is h0.d1.
+  const DestinationNames names{
+      std::make_shared<const std::vector<dns::DomainName>>(
+          std::vector<dns::DomainName>{dns::DomainName::from_string("h0.d0"),
+                                       dns::DomainName::from_string("h0.d1")}),
+      DestinationRanks{2, 1, 0},
+      std::make_shared<const sim::ZipfDistribution>(1, cfg.zipf_alpha)};
+  EXPECT_NO_THROW(TrafficGenerator(sim, {&client}, names, cfg, sim::Rng(1)));
+  EXPECT_THROW(TrafficGenerator(sim, {}, names, cfg, sim::Rng(1)),
+               std::invalid_argument);
+  auto mismatched = names;
+  mismatched.zipf = std::make_shared<const sim::ZipfDistribution>(2, 0.9);
+  EXPECT_THROW(TrafficGenerator(sim, {&client}, mismatched, cfg, sim::Rng(1)),
                std::invalid_argument);
 }
 

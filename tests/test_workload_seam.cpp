@@ -2,7 +2,8 @@
 //  * packet-mode golden parity — refactoring the per-packet path behind
 //    workload::Traffic must not perturb a single record: summaries are
 //    pinned against values captured from the pre-refactor library;
-//  * all-to-all golden parity in both engines (every summary field);
+//  * all-to-all golden parity in both engines (every summary field), and
+//    the shared rank view against Blueprint::destination_names;
 //  * record identity across Runner job counts for both engines;
 //  * flow-aggregate determinism across reruns, and seed sensitivity;
 //  * the SweepSpec workload-mode axis round-trips through the JSON sink
@@ -15,6 +16,7 @@
 
 #include "lisp/map_cache.hpp"
 #include "scenario/sweep.hpp"
+#include "topo/blueprint.hpp"
 
 namespace lispcp::scenario {
 namespace {
@@ -154,6 +156,27 @@ TEST(WorkloadSeam, AllToAllMatchesGolden) {
     EXPECT_DOUBLE_EQ(s.t_setup_p50_ms, golden.t_setup_p50_ms);
     EXPECT_DOUBLE_EQ(s.t_setup_p95_ms, golden.t_setup_p95_ms);
     EXPECT_DOUBLE_EQ(s.t_setup_p99_ms, golden.t_setup_p99_ms);
+  }
+}
+
+TEST(WorkloadSeam, RankViewEqualsDestinationNames) {
+  // Both engines resolve Zipf ranks through workload::DestinationRanks
+  // arithmetic; the reference order is Blueprint::destination_names.
+  for (const auto& [domains, hosts] :
+       {std::pair<std::size_t, std::size_t>{2, 1}, {6, 2}, {7, 3}}) {
+    const topo::Blueprint blueprint(topo::BlueprintShape{domains, hosts, 1});
+    for (std::size_t source = 0; source < domains; ++source) {
+      SCOPED_TRACE(std::to_string(domains) + "x" + std::to_string(hosts) +
+                   " source " + std::to_string(source));
+      const workload::DestinationRanks ranks{domains, hosts, source};
+      const auto names = blueprint.destination_names(source);
+      ASSERT_EQ(ranks.size(), names.size());
+      for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+        EXPECT_EQ(blueprint.host_names()[ranks.slot(rank)], names[rank]);
+        EXPECT_EQ(ranks.domain(rank), ranks.slot(rank) / hosts);
+        EXPECT_NE(ranks.domain(rank), source);
+      }
+    }
   }
 }
 
