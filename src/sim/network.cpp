@@ -152,7 +152,7 @@ HubDistances Network::hub_distances(NodeId hub) const {
   if (!hub.valid() || hub.value() >= nodes_.size()) {
     throw std::out_of_range("Network::hub_distances: bad NodeId");
   }
-  HubDistances table(*this, hub);
+  HubDistances table(*this);
   const auto spt = shortest_paths_from(hub);
   table.to_hub_.resize(nodes_.size());
   for (std::size_t i = 0; i < spt.size(); ++i) {

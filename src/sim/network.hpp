@@ -75,12 +75,11 @@ class Network;
 /// exact, because links are symmetric and delays are integer nanoseconds.
 /// Nodes in the same component fall back to Network::path_delay.
 ///
-/// A snapshot of the link states at construction: a link that changes
-/// state, or a node or link added afterwards, is not reflected.
+/// The tree and the labels are a snapshot of the links up at construction:
+/// build the table once the topology is complete, and again after a link
+/// changes state.
 class HubDistances {
  public:
-  [[nodiscard]] NodeId hub() const noexcept { return hub_; }
-
   /// One-way delay between `node` and the hub; nullopt if disconnected.
   [[nodiscard]] std::optional<SimDuration> to_hub(NodeId node) const {
     return to_hub_.at(node.value());
@@ -98,11 +97,9 @@ class HubDistances {
 
  private:
   friend class Network;
-  HubDistances(const Network& network, NodeId hub)
-      : network_(&network), hub_(hub) {}
+  explicit HubDistances(const Network& network) : network_(&network) {}
 
   const Network* network_;
-  NodeId hub_;
   std::vector<std::optional<SimDuration>> to_hub_;  ///< by NodeId value
   std::vector<std::uint32_t> component_;            ///< by NodeId value
 };
