@@ -440,8 +440,8 @@ class BgpFabric {
   /// Runs the engine until no work remains on any shard, i.e. until the
   /// protocol has converged.  Returns the convergence instant.
   /// `max_events` bounds the events of this call alone (0 = unlimited;
-  /// std::runtime_error past it), so it catches a runaway convergence
-  /// however many events earlier calls fired.
+  /// std::runtime_error once reached), so it catches a runaway
+  /// convergence however many events earlier calls fired.
   sim::SimTime run_to_convergence(std::uint64_t max_events = 50'000'000);
 
   /// Messages in flight plus pending MRAI flushes are queued events, so

@@ -121,9 +121,10 @@ class ConvergenceEngine {
   /// Runs until every shard queue drains; returns the global convergence
   /// instant (unchanged if nothing was pending).  `max_events` bounds the
   /// events this call fires (0 = unlimited), guarding against runaway
-  /// event chains; it is checked at epoch boundaries and throws
-  /// std::runtime_error once exceeded.  Events of earlier runs do not
-  /// count, so a long soak of small convergences never exhausts it.
+  /// event chains: checked at epoch boundaries, it throws
+  /// std::runtime_error once the call has fired that many.  Events of
+  /// earlier runs do not count, so a long soak of small convergences
+  /// never exhausts it.
   sim::SimTime run(std::uint64_t max_events = 0);
 
   // Content tags (bit 63 = event kind; endpoints must be < 2^31, checked

@@ -60,12 +60,14 @@ namespace lispcp::workload {
 /// non-owning and must outlive the engines.
 struct AggregateDestinations {
   struct Peer {  ///< one destination domain
-    lisp::TunnelRouter* xtr = nullptr;   ///< primary border router
+    /// Primary border router; read only when the source runs LISP.
+    lisp::TunnelRouter* xtr = nullptr;
     const irc::IrcEngine* irc = nullptr; ///< inbound-TE engine (PCE only)
     sim::SimDuration host_to_hub;        ///< host 0 -> hub
     sim::SimDuration auth_to_hub;        ///< authoritative server -> hub
     sim::SimDuration auth_processing;    ///< authoritative server
-    /// The domain's PCE processing delay, when it runs one.
+    /// The domain's PCE processing delay, when it runs one: under the
+    /// PCE the authoritative answer detours through both PCEs (Step 6).
     std::optional<sim::SimDuration> pce_processing;
   };
   std::vector<Peer> peers;  ///< indexed by domain

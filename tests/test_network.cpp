@@ -328,9 +328,10 @@ struct RandomGraph {
     Rng rng(seed);
     const auto random_delay = [&rng] {
       // Whole milliseconds half the time, so equal-length paths tie.
-      return rng.chance(0.5)
-                 ? SimDuration::millis(static_cast<std::int64_t>(rng.uniform_int(1, 5)))
-                 : SimDuration::micros(static_cast<std::int64_t>(rng.uniform_int(1, 9000)));
+      const bool whole_ms = rng.chance(0.5);
+      const auto n = static_cast<std::int64_t>(
+          whole_ms ? rng.uniform_int(1, 5) : rng.uniform_int(1, 9000));
+      return whole_ms ? SimDuration::millis(n) : SimDuration::micros(n);
     };
     const auto link = [&](NodeId a, NodeId b) {
       if (a == b || net.link_between(a, b) != nullptr) return;
@@ -343,7 +344,8 @@ struct RandomGraph {
       const auto size = rng.uniform_int(1, 6);
       for (std::uint64_t i = 0; i < size; ++i) {
         const NodeId node =
-            net.make<Node>("c" + std::to_string(c) + "n" + std::to_string(i)).id();
+            net.make<Node>("c" + std::to_string(c) + "n" + std::to_string(i))
+                .id();
         // A random spanning tree keeps the cluster connected; extra chords
         // give it alternative paths.
         if (i > 0) link(node, members[c][rng.uniform_int(0, i - 1)]);
@@ -365,7 +367,8 @@ struct RandomGraph {
     for (int i = 0; i < bridges; ++i) {
       const auto& x = members[rng.uniform_int(0, clusters - 1)];
       const auto& y = members[rng.uniform_int(0, clusters - 1)];
-      link(x[rng.uniform_int(0, x.size() - 1)], y[rng.uniform_int(0, y.size() - 1)]);
+      link(x[rng.uniform_int(0, x.size() - 1)],
+           y[rng.uniform_int(0, y.size() - 1)]);
     }
   }
 
