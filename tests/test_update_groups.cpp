@@ -1,12 +1,14 @@
 // Tests for the export update-group + interned-attribute pipeline: grouped
-// fan-out must be byte-identical to the legacy per-neighbor export leg
-// (BgpConfig::share_exports = false) for every shard count, with and
-// without policy attached; AttrTable must dedupe and evict; and a
-// post-convergence policy edit (the sanctioned kRefresh path) must rebuild
-// the groups so the leak study converges to the same tables either way.
+// fan-out must reproduce the golden fingerprints captured from the
+// per-neighbor export leg (BgpConfig::share_exports = false) for every
+// shard count, with and without policy attached; AttrTable must dedupe and
+// evict; and a post-convergence policy edit (the sanctioned kRefresh path)
+// must rebuild the groups and land on the pinned tables, as must the
+// route-leak study.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -49,6 +51,24 @@ std::string fingerprint(const BgpFabric& fabric) {
   return os.str();
 }
 
+/// FNV-1a-64 of a fingerprint: the committed form of a golden (a converged
+/// fingerprint runs to hundreds of lines).
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  for (const unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3u;
+  }
+  return hash;
+}
+
+// Goldens captured from the per-neighbor export leg — the pre-update-group
+// path, which runs the export computation once per session — at K=1.
+constexpr std::uint64_t kPolicyOffGolden = 0x09b294de2d8c7d66u;
+constexpr std::uint64_t kRolesGolden = 0xa025921c21b251f1u;
+constexpr std::uint64_t kRouteMapsGolden = 0x0935ede3a0f70eefu;
+constexpr std::uint64_t kRefreshGolden = 0xfaae57dc0d3c1c9cu;
+
 AsGraph test_internet(std::uint64_t seed) {
   SyntheticInternetConfig internet;
   internet.tier1_count = 3;
@@ -85,9 +105,11 @@ std::string converge_and_fingerprint(
 
 TEST(UpdateGroups, GroupedMatchesPerNeighborPolicyOff) {
   const AsGraph graph = test_internet(5);
-  const std::string reference = converge_and_fingerprint(graph, 1, false);
+  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false)),
+            kPolicyOffGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(converge_and_fingerprint(graph, shards, true), reference)
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true)),
+              kPolicyOffGolden)
         << "grouped export diverged from per-neighbor at K=" << shards;
   }
 }
@@ -95,10 +117,11 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborPolicyOff) {
 TEST(UpdateGroups, GroupedMatchesPerNeighborWithRoles) {
   const AsGraph graph = test_internet(9);
   const auto policy = policy::PolicyTable::gao_rexford(graph);
-  const std::string reference =
-      converge_and_fingerprint(graph, 1, false, policy);
+  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false, policy)),
+            kRolesGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(converge_and_fingerprint(graph, shards, true, policy), reference)
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true, policy)),
+              kRolesGolden)
         << "grouped export diverged under role policy at K=" << shards;
   }
 }
@@ -123,16 +146,17 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborWithRouteMaps) {
       flip = !flip;
     }
   }
-  const std::string reference =
-      converge_and_fingerprint(graph, 1, false, policy);
+  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false, policy)),
+            kRouteMapsGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(converge_and_fingerprint(graph, shards, true, policy), reference)
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true, policy)),
+              kRouteMapsGolden)
         << "grouped export diverged under export maps at K=" << shards;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Churn: incremental vs full-replay, grouped vs ungrouped.
+// Churn: incremental vs full-replay, pinned to the per-neighbor golden.
 
 bool measures_eq(const ChurnEventMeasure& a, const ChurnEventMeasure& b) {
   return a.kind == b.kind && a.update_messages == b.update_messages &&
@@ -158,7 +182,7 @@ bool results_eq(const ChurnPlanResult& a, const ChurnPlanResult& b) {
   return true;
 }
 
-TEST(UpdateGroups, ChurnPlanInvariantUnderSharingAndReplayMode) {
+TEST(UpdateGroups, ChurnPlanMatchesGoldenInBothReplayModes) {
   DfzStudyConfig config;
   config.internet.tier1_count = 3;
   config.internet.transit_count = 5;
@@ -171,21 +195,30 @@ TEST(UpdateGroups, ChurnPlanInvariantUnderSharingAndReplayMode) {
                      sim::SimDuration::seconds(90),
                      sim::SimDuration::seconds(20));
 
+  // The plan totals the per-neighbor export leg measured.
+  const auto expect_golden = [](const ChurnPlanResult& result) {
+    EXPECT_EQ(result.flaps, 5u);
+    EXPECT_EQ(result.update_messages, 1023u);
+    EXPECT_EQ(result.route_records, 2046u);
+    EXPECT_EQ(result.engine_events, 2048u);
+    EXPECT_DOUBLE_EQ(result.max_settle_ms, 1234.887178);
+    EXPECT_DOUBLE_EQ(result.span_ms, 306473.593782);
+  };
   DfzStudyConfig ungrouped = config;
   ungrouped.bgp.share_exports = false;
-  const ChurnPlanResult reference = run_churn_plan(ungrouped, plan);
-  ASSERT_GT(reference.update_messages, 0u);
+  expect_golden(run_churn_plan(ungrouped, plan));
+  const ChurnPlanResult reference = run_churn_plan(config, plan);
+  expect_golden(reference);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    DfzStudyConfig grouped = config;
-    grouped.bgp.shards = shards;
-    const ChurnPlanResult incremental = run_churn_plan(grouped, plan);
-    EXPECT_TRUE(results_eq(incremental, reference))
-        << "grouped incremental churn diverged at K=" << shards;
+    DfzStudyConfig sharded = config;
+    sharded.bgp.shards = shards;
+    EXPECT_TRUE(results_eq(run_churn_plan(sharded, plan), reference))
+        << "incremental churn diverged at K=" << shards;
     ChurnPlan replay = plan;
     replay.full_replay = true;
-    EXPECT_TRUE(results_eq(run_churn_plan(grouped, replay), reference))
-        << "grouped full-replay churn diverged at K=" << shards;
+    EXPECT_TRUE(results_eq(run_churn_plan(sharded, replay), reference))
+        << "full-replay churn diverged at K=" << shards;
   }
 }
 
@@ -295,9 +328,9 @@ TEST(UpdateGroups, RefreshRebuildsExportGroups) {
 
   // Converge, then attach an export map to ONE provider session and
   // refresh it — the sanctioned mid-life policy edit.  A refresh re-runs
-  // the export leg (counters legitimately move), so the contract is
-  // grouped-vs-ungrouped parity over the whole sequence, plus the group
-  // partition actually splitting.
+  // the export leg (counters legitimately move), so the contract is the
+  // per-neighbor golden over the whole sequence, plus the group partition
+  // actually splitting.
   const net::Ipv4Prefix prefix = net::Ipv4Prefix::from_string("100.0.0.0/20");
   const auto run_sequence = [&](bool share_exports) {
     const auto policy = policy::PolicyTable::gao_rexford(graph);
@@ -324,16 +357,17 @@ TEST(UpdateGroups, RefreshRebuildsExportGroups) {
     return fingerprint(fabric);
   };
   const std::string grouped = run_sequence(true);
-  EXPECT_EQ(grouped, run_sequence(false))
+  EXPECT_EQ(fnv1a64(run_sequence(false)), kRefreshGolden);
+  EXPECT_EQ(fnv1a64(grouped), kRefreshGolden)
       << "grouped export diverged across a mid-life policy edit";
   EXPECT_NE(grouped.find("p 3 3"), std::string::npos)
       << "the prepended path must actually install at AS1";
 }
 
-TEST(UpdateGroups, RouteLeakStudyInvariantUnderSharing) {
+TEST(UpdateGroups, RouteLeakStudyMatchesPerNeighborGolden) {
   // The classic type-1 leak drops a session's valley-free gate and
   // refreshes it mid-study — the group key changes after convergence.  The
-  // whole incident must measure identically grouped and ungrouped.
+  // whole incident must measure what the per-neighbor leg measured.
   DfzStudyConfig config;
   config.internet.tier1_count = 3;
   config.internet.transit_count = 5;
@@ -345,18 +379,18 @@ TEST(UpdateGroups, RouteLeakStudyInvariantUnderSharing) {
 
   DfzStudyConfig ungrouped = config;
   ungrouped.bgp.share_exports = false;
-  const PolicyEventResult a = run_policy_event(config);
-  const PolicyEventResult b = run_policy_event(ungrouped);
-  EXPECT_EQ(a.dfz_table_before, b.dfz_table_before);
-  EXPECT_EQ(a.dfz_table_after, b.dfz_table_after);
-  EXPECT_EQ(a.update_messages, b.update_messages);
-  EXPECT_EQ(a.route_records, b.route_records);
-  EXPECT_EQ(a.settle_ms, b.settle_ms);
-  EXPECT_EQ(a.ases_touched, b.ases_touched);
-  EXPECT_EQ(a.event_announcements, b.event_announcements);
-  EXPECT_EQ(a.rib_delta, b.rib_delta);
-  EXPECT_EQ(a.ases_preferring_actor, b.ases_preferring_actor);
-  EXPECT_GT(a.update_messages, 0u) << "the leak must actually propagate";
+  for (const DfzStudyConfig& leg : {config, ungrouped}) {
+    const PolicyEventResult leak = run_policy_event(leg);
+    EXPECT_EQ(leak.dfz_table_before, 24u);
+    EXPECT_EQ(leak.dfz_table_after, 24u);
+    EXPECT_EQ(leak.update_messages, 36u);
+    EXPECT_EQ(leak.route_records, 101u);
+    EXPECT_DOUBLE_EQ(leak.settle_ms, 547.338488);
+    EXPECT_EQ(leak.ases_touched, 10u);
+    EXPECT_EQ(leak.event_announcements, 24u);
+    EXPECT_EQ(leak.rib_delta, 0u);
+    EXPECT_EQ(leak.ases_preferring_actor, 10u);
+  }
 }
 
 }  // namespace
