@@ -12,12 +12,13 @@
 // wall-clock measurement: unlike the simulation benches the *values* are
 // host-dependent (the artifact schema, not the numbers, is what CI pins),
 // and --jobs > 1 makes concurrently timed micros perturb each other — the
-// default stays serial.
+// default stays serial.  Micros time live code only: a layout an
+// optimisation replaced keeps no baseline arm here, and its last numbers
+// are in the git history of bench/trajectory/m1.json.
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -221,36 +222,9 @@ std::vector<Micro> registry() {
     });
   }});
 
-  // -- PR-7 speed-program pairs: each optimisation next to the layout it
-  // replaced, so the artifact carries the speedup ratio directly. ---------
-
   // Event-record allocation over the queue's live-window profile (~256 in
-  // flight): one heap shared_ptr + std::function per event (the seed
-  // layout) vs a slab pool slot with an inline-capture action (the arena
-  // layout sim::EventQueue now uses).
-  micros.push_back({"event alloc/make-shared", [] {
-    struct HeapRecord {
-      std::function<void()> action;
-      bool cancelled = false;
-      bool daemon = false;
-    };
-    return std::function<void(std::uint64_t)>([](std::uint64_t iters) {
-      std::vector<std::shared_ptr<HeapRecord>> live(256);
-      for (auto& record : live) {
-        record = std::make_shared<HeapRecord>();
-        record->action = [] {};
-      }
-      std::size_t head = 0;
-      for (std::uint64_t i = 0; i < iters; ++i) {
-        auto record = std::make_shared<HeapRecord>();
-        record->action = [] {};
-        live[head] = std::move(record);  // frees the displaced record
-        head = (head + 1) % live.size();
-      }
-      keep(live[head]);
-    });
-  }});
-
+  // flight): a slab pool slot with an inline-capture action, the arena
+  // layout sim::EventQueue uses.
   micros.push_back({"event alloc/arena", [] {
     struct PoolRecord {
       core::InlineFunction<void(), 88> action;
@@ -277,8 +251,7 @@ std::vector<Micro> registry() {
   }});
 
   // The RIB decision scan: per-prefix best-route lookups against a 16k-entry
-  // table — node-based std::map (the seed BgpSpeaker layout) vs the
-  // open-addressing core::FlatMap the RIBs use now.
+  // open-addressing core::FlatMap, the RIB layout.
   {
     constexpr int kRoutes = 16384;
     const auto route_prefix = [](int i) {
@@ -287,23 +260,6 @@ std::vector<Micro> registry() {
                            static_cast<std::uint8_t>(i % 256), 0),
           24);
     };
-    micros.push_back({"rib scan/std-map", [route_prefix] {
-      auto rib = std::make_shared<std::map<net::Ipv4Prefix, std::uint64_t>>();
-      for (int i = 0; i < kRoutes; ++i) {
-        rib->emplace(route_prefix(i), static_cast<std::uint64_t>(i));
-      }
-      return std::function<void(std::uint64_t)>(
-          [rib, route_prefix](std::uint64_t iters) {
-            std::uint64_t sum = 0;
-            for (std::uint64_t i = 0; i < iters; ++i) {
-              const auto it =
-                  rib->find(route_prefix(static_cast<int>((i * 40503u) % kRoutes)));
-              if (it != rib->end()) sum += it->second;
-            }
-            keep(sum);
-          });
-    }});
-
     micros.push_back({"rib scan/flat", [route_prefix] {
       auto rib =
           std::make_shared<core::FlatMap<net::Ipv4Prefix, std::uint64_t>>();
@@ -370,49 +326,39 @@ std::vector<Micro> registry() {
   }
 
   // The export leg on a 64-customer hub: one flap at the hub makes it
-  // recompute and fan out an UPDATE to every session.  The per-neighbor arm
-  // (share_exports = false) runs the export computation once per session —
-  // the pre-update-group model — while the grouped arm computes once per
-  // equivalence class and fans out by reference.  check_bench.py gates the
-  // ratio under --ratchet.
-  for (const bool grouped : {false, true}) {
-    micros.push_back(
-        {std::string("export fanout/") + (grouped ? "grouped" : "per-neighbor"),
-         [grouped] {
-      auto graph = std::make_shared<routing::AsGraph>();
-      graph->add_as(routing::AsNumber(1), routing::AsTier::kTransit);
-      constexpr std::uint32_t kFanout = 64;
-      for (std::uint32_t i = 0; i < kFanout; ++i) {
-        const routing::AsNumber stub(10 + i);
-        graph->add_as(stub, routing::AsTier::kStub);
-        graph->add_customer_provider(stub, routing::AsNumber(1));
-      }
-      routing::BgpConfig config;
-      config.share_exports = grouped;
-      auto fabric = std::make_shared<routing::BgpFabric>(*graph, config);
-      const net::Ipv4Prefix prefix(net::Ipv4Address(100, 0, 0, 0), 20);
-      routing::UpdateMessage announce;
-      announce.announces = {
-          fabric->make_advert(prefix, {routing::AsNumber(10)})};
-      routing::UpdateMessage withdraw;
-      withdraw.withdraws = {prefix};
-      return std::function<void(std::uint64_t)>(
-          [graph, fabric, announce, withdraw](std::uint64_t iters) {
-            routing::BgpSpeaker& hub = fabric->speaker(routing::AsNumber(1));
-            for (std::uint64_t i = 0; i < iters; ++i) {
-              hub.handle_update(routing::AsNumber(10),
-                                (i & 1) == 0 ? announce : withdraw);
-            }
-            keep(hub.stats().routes_announced);
-          });
-    }});
-  }
+  // recompute the UPDATE once per update-group and fan the shared advert
+  // out by reference to every session.
+  micros.push_back({"export fanout/grouped", [] {
+    auto graph = std::make_shared<routing::AsGraph>();
+    graph->add_as(routing::AsNumber(1), routing::AsTier::kTransit);
+    constexpr std::uint32_t kFanout = 64;
+    for (std::uint32_t i = 0; i < kFanout; ++i) {
+      const routing::AsNumber stub(10 + i);
+      graph->add_as(stub, routing::AsTier::kStub);
+      graph->add_customer_provider(stub, routing::AsNumber(1));
+    }
+    auto fabric = std::make_shared<routing::BgpFabric>(*graph);
+    const net::Ipv4Prefix prefix(net::Ipv4Address(100, 0, 0, 0), 20);
+    routing::UpdateMessage announce;
+    announce.announces = {
+        fabric->make_advert(prefix, {routing::AsNumber(10)})};
+    routing::UpdateMessage withdraw;
+    withdraw.withdraws = {prefix};
+    return std::function<void(std::uint64_t)>(
+        [graph, fabric, announce, withdraw](std::uint64_t iters) {
+          routing::BgpSpeaker& hub = fabric->speaker(routing::AsNumber(1));
+          for (std::uint64_t i = 0; i < iters; ++i) {
+            hub.handle_update(routing::AsNumber(10),
+                              (i & 1) == 0 ? announce : withdraw);
+          }
+          keep(hub.stats().routes_announced);
+        });
+  }});
 
   // Distributing one attribute set to 16 holders (the adj-in/loc-rib/
-  // in-flight-advert copies one UPDATE used to spawn): the copy arm pays a
-  // vector deep-copy per holder — the pre-interning model — while the ref
-  // arm interns the canonical node once (steady-state hit: one hash probe,
-  // no allocation) and hands out refcounted handles.
+  // in-flight-advert copies one UPDATE spawns): intern the canonical node
+  // once (steady-state hit: one hash probe, no allocation) and hand out
+  // refcounted handles.
   {
     constexpr std::size_t kHolders = 16;
     const std::vector<routing::AsNumber> path{
@@ -421,20 +367,6 @@ std::vector<Micro> registry() {
         routing::AsNumber(64504), routing::AsNumber(64505)};
     const std::vector<routing::policy::Community> communities{0x00FF0001u,
                                                              0x00FF0002u};
-    micros.push_back({"attr intern/copy", [path, communities] {
-      return std::function<void(std::uint64_t)>(
-          [path, communities](std::uint64_t iters) {
-            for (std::uint64_t i = 0; i < iters; ++i) {
-              for (std::size_t h = 0; h < kHolders; ++h) {
-                std::vector<routing::AsNumber> p(path);
-                std::vector<routing::policy::Community> c(communities);
-                keep(p.data());
-                keep(c.data());
-              }
-            }
-          });
-    }});
-
     micros.push_back({"attr intern/ref", [path, communities] {
       auto table = std::make_shared<routing::AttrTable>();
       // Untimed: the first intern allocates the canonical node; the timed
@@ -495,11 +427,14 @@ std::vector<Micro> registry() {
     study.internet.seed = 7;
 
     micros.push_back({"flap reconverge/full-replay", [study] {
-      return std::function<void(std::uint64_t)>([study](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          keep(routing::run_rehoming_churn(study).update_messages);
-        }
-      });
+      routing::ChurnPlan plan;
+      plan.events.push_back(routing::ChurnEvent::flap(0));
+      return std::function<void(std::uint64_t)>(
+          [study, plan](std::uint64_t iters) {
+            for (std::uint64_t i = 0; i < iters; ++i) {
+              keep(routing::run_churn_plan(study, plan).update_messages);
+            }
+          });
     }});
 
     micros.push_back({"flap reconverge/incremental", [study] {

@@ -39,6 +39,10 @@ int main(int argc, char** argv) {
   // Convergence-engine partitions: the table is identical for any value.
   config.bgp.shards = shards;
 
+  // Re-homing the first stub: one zero-hold whole-site flap.
+  routing::ChurnPlan rehoming;
+  rehoming.events.push_back(routing::ChurnEvent::flap(0));
+
   metrics::Table table({"scenario", "DFZ table", "mean RIB", "updates",
                         "converge ms", "mapping entries", "rehoming updates",
                         "ASes touched by a flap"});
@@ -46,7 +50,7 @@ int main(int argc, char** argv) {
                               routing::AddressingScenario::kLispRlocOnly}) {
     config.scenario = scenario;
     const auto result = routing::run_dfz_study(config);
-    const auto churn = routing::run_rehoming_churn(config);
+    const auto churn = routing::run_churn_plan(config, rehoming).events.front();
     table.add_row({to_string(scenario),
                    metrics::Table::integer(result.dfz_table_size),
                    metrics::Table::num(result.mean_rib_size, 1),

@@ -282,11 +282,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
   path.push_back(asn_);
   path.insert(path.end(), winner.as_path().begin(), winner.as_path().end());
 
-  if (!fabric_.config().share_exports) {
-    announce_best_per_neighbor(prefix, winner, path, only);
-    return;
-  }
-
   const std::vector<AsGraph::Neighbor>& neighbors =
       fabric_.graph().neighbors(asn_);
   for (const ExportGroup& group : export_groups_) {
@@ -346,59 +341,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
       }
       enqueue(pos, neighbor, prefix, RouteAdvert{prefix, attrs});
     }
-  }
-}
-
-void BgpSpeaker::announce_best_per_neighbor(const net::Ipv4Prefix& prefix,
-                                            const BestRoute& winner,
-                                            const std::vector<AsNumber>& path,
-                                            std::optional<AsNumber> only) {
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    const AsNumber neighbor = neighbors[pos].asn;
-    if (only.has_value() && neighbor != *only) continue;
-    if (!winner.local_origin && neighbor == winner.learned_from) {
-      enqueue(pos, neighbor, prefix, std::nullopt);
-      continue;
-    }
-    const policy::SessionPolicy* session =
-        fabric_.session_policy(asn_, neighbor);
-    const bool role_ok = (session != nullptr && !session->valley_free) ||
-                         exportable(winner, neighbors[pos].kind);
-    if (!role_ok) {
-      enqueue(pos, neighbor, prefix, std::nullopt);
-      continue;
-    }
-    if (session != nullptr && session->export_map != nullptr) {
-      const auto actions = session->export_map->evaluate(
-          policy::RouteContext{prefix, path, winner.communities()});
-      if (!actions.has_value()) {
-        ++stats_.exports_filtered;
-        enqueue(pos, neighbor, prefix, std::nullopt);
-        continue;
-      }
-      if (actions->prepend > 0 || !actions->add_communities.empty()) {
-        std::vector<AsNumber>& out_path = modified_path_scratch();
-        out_path.assign(actions->prepend, asn_);
-        out_path.insert(out_path.end(), path.begin(), path.end());
-        std::vector<policy::Community>& comm = community_scratch();
-        comm.assign(winner.communities().begin(), winner.communities().end());
-        for (const policy::Community c : actions->add_communities) {
-          policy::add_community(comm, c);
-        }
-        enqueue(pos, neighbor, prefix,
-                RouteAdvert{prefix, fabric_.attrs().intern(out_path, comm, 0)});
-      } else {
-        enqueue(pos, neighbor, prefix,
-                RouteAdvert{prefix, fabric_.attrs().intern(
-                                        path, winner.communities(), 0)});
-      }
-      continue;
-    }
-    enqueue(pos, neighbor, prefix,
-            RouteAdvert{prefix,
-                        fabric_.attrs().intern(path, winner.communities(), 0)});
   }
 }
 

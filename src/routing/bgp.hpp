@@ -143,11 +143,6 @@ struct BgpConfig {
   /// pre-sizes each speaker's flat RIB tables so origination storms fill
   /// them without intermediate rehashes; never affects results.
   std::size_t expected_prefixes = 0;
-  /// Debug escape hatch: false runs the export leg once per neighbor (the
-  /// pre-update-group path) instead of once per group.  Results are
-  /// byte-identical either way — tests/test_update_groups.cpp diffs the
-  /// two — so leave it on outside parity tests.
-  bool share_exports = true;
 };
 
 struct BgpSpeakerStats {
@@ -251,18 +246,11 @@ class BgpSpeaker {
 
   /// The export fan-out for an installed best route: split horizon, the
   /// valley-free role gate (per-session policy may relax it), then the
-  /// session's export map — run once per update-group (or per neighbor
-  /// with share_exports off), producing one shared interned advert that
-  /// enqueue() fans out by reference.  Shared by decide() (all sessions)
-  /// and refresh_exports() (optionally one).
+  /// session's export map — run once per update-group, producing one
+  /// shared interned advert that enqueue() fans out by reference.  Shared
+  /// by decide() (all sessions) and refresh_exports() (optionally one).
   void announce_best(const net::Ipv4Prefix& prefix, const BestRoute& winner,
                      std::optional<AsNumber> only = std::nullopt);
-
-  /// The per-neighbor legacy export path (share_exports == false).
-  void announce_best_per_neighbor(const net::Ipv4Prefix& prefix,
-                                  const BestRoute& winner,
-                                  const std::vector<AsNumber>& path,
-                                  std::optional<AsNumber> only);
 
   /// Gao-Rexford: may `route` be told to a neighbor of kind `to`?
   [[nodiscard]] static bool exportable(const BestRoute& route, NeighborKind to);

@@ -235,48 +235,59 @@ struct FabricCounters {
     const DfzStudyConfig& config, const ChurnEvent& event) {
   auto prefixes = stub_site_prefixes(event.stub, config.deaggregation_factor);
   if (event.prefix_index == ChurnEvent::kWholeSite) return prefixes;
-  if (event.prefix_index >= prefixes.size()) {
-    throw std::invalid_argument("run_churn_plan: prefix_index out of range");
-  }
   return {prefixes[event.prefix_index]};
 }
 
-/// The pre-build half of the policy-incident validation, kept in the
-/// legacy run_policy_event order and wording.
-void validate_incident_config(const DfzStudyConfig& config) {
-  const PolicyEvent& event = config.policy.event;
+/// Rejects a plan run_churn_plan cannot execute — before any world is
+/// built, and under either scenario: every event's stub and prefix index,
+/// and, when the plan fires a policy incident, the incident's
+/// configuration and target stubs.
+void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
+  const std::size_t stubs = config.internet.stub_count;
+  bool has_incident = false;
+  for (const ChurnEvent& event : plan.events) {
+    if (event.kind == ChurnEvent::Kind::kPolicyIncident) {
+      has_incident = true;
+      continue;
+    }
+    if (event.stub >= stubs) {
+      throw std::invalid_argument("run_churn_plan: event stub out of range");
+    }
+    if (event.prefix_index != ChurnEvent::kWholeSite &&
+        event.prefix_index >= config.deaggregation_factor) {
+      throw std::invalid_argument("run_churn_plan: prefix_index out of range");
+    }
+  }
+  if (!has_incident) return;
+
+  const PolicyEvent& incident = config.policy.event;
   if (!config.policy.roles) {
     throw std::invalid_argument(
-        "run_policy_event: requires policy.roles (Gao-Rexford table)");
+        "run_churn_plan: a policy incident requires policy.roles "
+        "(Gao-Rexford table)");
   }
   if (config.scenario != AddressingScenario::kLegacyBgp) {
     throw std::invalid_argument(
-        "run_policy_event: events are BGP incidents; use kLegacyBgp");
+        "run_churn_plan: policy incidents are BGP incidents; use kLegacyBgp");
   }
-  if (event.kind == PolicyEvent::Kind::kNone) {
-    throw std::invalid_argument("run_policy_event: event.kind is kNone");
+  if (incident.kind == PolicyEvent::Kind::kNone) {
+    throw std::invalid_argument("run_churn_plan: policy.event.kind is kNone");
   }
-  if (!is_power_of_two(event.deagg_factor) || event.deagg_factor > 4096) {
+  if (!is_power_of_two(incident.deagg_factor) || incident.deagg_factor > 4096) {
     throw std::invalid_argument(
-        "run_policy_event: event.deagg_factor must be a power of two <= 4096");
+        "run_churn_plan: policy.event.deagg_factor must be a power of two "
+        "<= 4096");
   }
-}
-
-/// The post-build half: the incident's stubs must exist in this graph.
-void validate_incident_targets(const DfzStudyConfig& config,
-                               const BuiltStudy& study) {
-  const PolicyEvent& event = config.policy.event;
-  if (event.victim_stub >= study.stubs.size()) {
-    throw std::invalid_argument("run_policy_event: victim_stub out of range");
+  if (incident.victim_stub >= stubs) {
+    throw std::invalid_argument("run_churn_plan: victim_stub out of range");
   }
-  if (resolve_actor(event, study.stubs.size()) >= study.stubs.size()) {
-    throw std::invalid_argument("run_policy_event: actor_stub out of range");
+  if (resolve_actor(incident, stubs) >= stubs) {
+    throw std::invalid_argument("run_churn_plan: actor_stub out of range");
   }
 }
 
 /// Applies the configured PolicyEvent to a converged study and measures its
-/// blast radius — the former run_policy_event body, now mutating the world
-/// only through RouteDelta batches.
+/// blast radius, mutating the world only through RouteDelta batches.
 [[nodiscard]] PolicyEventResult execute_policy_incident(
     const DfzStudyConfig& config, BuiltStudy& study) {
   const PolicyEvent& event = config.policy.event;
@@ -331,7 +342,7 @@ void validate_incident_targets(const DfzStudyConfig& config,
       // (including provider- and peer-learned routes) to one provider.
       const auto providers = providers_of_stub(*study.graph, actor);
       if (providers.empty()) {
-        throw std::invalid_argument("run_policy_event: leaker has no provider");
+        throw std::invalid_argument("run_churn_plan: leaker has no provider");
       }
       const AsNumber target = providers.back();
       study.table->session(actor, target).valley_free = false;
@@ -361,14 +372,14 @@ void validate_incident_targets(const DfzStudyConfig& config,
       // chosen (first) provider.
       const auto providers = providers_of_stub(*study.graph, victim);
       if (providers.empty()) {
-        throw std::invalid_argument("run_policy_event: victim has no provider");
+        throw std::invalid_argument("run_churn_plan: victim has no provider");
       }
       capture = Capture::kPathThrough;
       capture_asn = providers.front();
       break;
     }
     case PolicyEvent::Kind::kNone:
-      break;  // unreachable: rejected by validate_incident_config
+      break;  // unreachable: rejected by validate_plan
   }
 
   study.fabric->apply(batch);
@@ -427,10 +438,10 @@ void validate_incident_targets(const DfzStudyConfig& config,
   return result;
 }
 
-/// Executes one churn event against a converged study.  Flap-shaped events
-/// are two RouteDelta batches around an idle-clock hold; the measured
-/// settle excludes the hold, so a zero-hold flap costs exactly what the
-/// legacy back-to-back withdraw/announce sequence did.
+/// Executes one churn event against a converged study.  A flap is two
+/// RouteDelta batches around an idle-clock hold; the measured settle
+/// excludes the hold, so a zero-hold flap costs exactly a back-to-back
+/// withdraw/announce sequence.
 [[nodiscard]] ChurnEventMeasure execute_churn_event(
     const DfzStudyConfig& config, BuiltStudy& study, const ChurnEvent& event,
     std::optional<PolicyEventResult>& incident) {
@@ -447,9 +458,6 @@ void validate_incident_targets(const DfzStudyConfig& config,
     return measure;
   }
 
-  if (event.stub >= study.stubs.size()) {
-    throw std::invalid_argument("run_churn_plan: event stub out of range");
-  }
   const AsNumber subject = study.stubs[event.stub];
   const auto prefixes = churn_subject_prefixes(config, event);
   const FabricCounters before = snapshot_counters(study);
@@ -466,11 +474,8 @@ void validate_incident_targets(const DfzStudyConfig& config,
     study.fabric->run_to_convergence();
     measure.engine_events += study.fabric->last_run_events();
   }
-  const bool comes_back = event.kind == ChurnEvent::Kind::kFlap ||
-                          event.kind == ChurnEvent::Kind::kRehome ||
-                          event.kind == ChurnEvent::Kind::kPrefixUp;
-  if (comes_back) {
-    if (event.kind != ChurnEvent::Kind::kPrefixUp &&
+  if (event.kind != ChurnEvent::Kind::kPrefixDown) {
+    if (event.kind == ChurnEvent::Kind::kFlap &&
         event.hold > sim::SimDuration{}) {
       study.fabric->advance(event.hold);
       held = event.hold;
@@ -577,36 +582,11 @@ DfzStudyResult run_dfz_study(const DfzStudyConfig& config) {
   return result;
 }
 
-RehomingChurnResult run_rehoming_churn(const DfzStudyConfig& config) {
-  // The §2 ingress swing — the first stub takes its prefixes down
-  // (converge) and brings them back (converge), the BGP cost the paper's
-  // CP replaces with a mapping push — expressed as one declarative event
-  // on the unified churn surface.  Outputs are byte-identical to the
-  // former hand-rolled withdraw/announce sequence.
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::rehome(0));
-  const ChurnPlanResult churn = run_churn_plan(config, plan);
-
-  RehomingChurnResult result;
-  const ChurnEventMeasure& swing = churn.events.front();
-  result.update_messages = swing.update_messages;
-  result.route_records = swing.route_records;
-  result.settle_ms = swing.settle_ms;
-  result.ases_touched = swing.ases_touched;
-  return result;
-}
-
 ChurnPlanResult run_churn_plan(const DfzStudyConfig& config,
                                const ChurnPlan& plan) {
-  bool has_incident = false;
-  for (const ChurnEvent& event : plan.events) {
-    if (event.kind == ChurnEvent::Kind::kPolicyIncident) has_incident = true;
-  }
-  if (has_incident) validate_incident_config(config);
-
+  validate_plan(config, plan);
   const auto is_flap = [](const ChurnEvent& event) {
-    return event.kind == ChurnEvent::Kind::kFlap ||
-           event.kind == ChurnEvent::Kind::kRehome;
+    return event.kind == ChurnEvent::Kind::kFlap;
   };
 
   ChurnPlanResult result;
@@ -637,7 +617,6 @@ ChurnPlanResult run_churn_plan(const DfzStudyConfig& config,
   std::unique_ptr<BuiltStudy> study;
   const auto fresh_world = [&] {
     study = build_study(config);
-    if (has_incident) validate_incident_targets(config, *study);
     study->fabric->run_to_convergence();
   };
   if (!plan.full_replay) fresh_world();
@@ -694,13 +673,6 @@ ChurnPlan make_flap_plan(std::size_t flaps, std::size_t stub_count,
         ChurnEvent::flap(stub, hold, sim::SimDuration::nanos(spacing_ns)));
   }
   return plan;
-}
-
-PolicyEventResult run_policy_event(const DfzStudyConfig& config) {
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::policy_incident());
-  ChurnPlanResult churn = run_churn_plan(config, plan);
-  return *std::move(churn.incident);
 }
 
 }  // namespace lispcp::routing

@@ -15,9 +15,10 @@
 // Outputs per run: DFZ table size (tier-1 Loc-RIB), mean/max RIB over all
 // ASes, total update messages and route records to converge, convergence
 // time, and — for the LISP scenario — how many entries moved into the
-// mapping system.  A second harness measures re-homing churn: the update
-// storm when one multihomed stub swings between providers (the event the
-// paper's IRC/TE engine triggers on), legacy vs LISP.
+// mapping system.  run_churn_plan measures everything that perturbs the
+// converged DFZ: re-homing (the update storm when one multihomed stub
+// swings between providers, the event the paper's IRC/TE engine triggers
+// on), flap soaks and policy incidents, legacy vs LISP.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +76,10 @@ struct PolicyEvent {
 
 /// Policy section of the DFZ study.  `roles` attaches the Gao-Rexford
 /// table (policy::PolicyTable::gao_rexford) to every speaker — required by
-/// run_policy_event.  `filtered_transit_fraction` puts IRR-style strict
-/// customer-origin import prefix-lists on the stub sessions of the first
-/// ceil(fraction * transit_count) transits: the containment knob the F2e
-/// hijack series sweeps.
+/// a kPolicyIncident churn event.  `filtered_transit_fraction` puts
+/// IRR-style strict customer-origin import prefix-lists on the stub
+/// sessions of the first ceil(fraction * transit_count) transits: the
+/// containment knob the F2e hijack series sweeps.
 struct PolicyStudyConfig {
   bool roles = false;
   double filtered_transit_fraction = 0.0;
@@ -120,28 +121,15 @@ struct DfzStudyResult {
   double convergence_ms = 0.0;
   std::size_t mapping_system_entries = 0;  ///< EID prefixes kept out of BGP
   std::size_t bgp_origin_prefixes = 0;     ///< prefixes actually injected
+
+  bool operator==(const DfzStudyResult&) const = default;
 };
 
 /// Runs origination-to-convergence for the configured scenario.
 [[nodiscard]] DfzStudyResult run_dfz_study(const DfzStudyConfig& config);
 
-struct RehomingChurnResult {
-  /// Update messages and route records triggered network-wide by one stub
-  /// moving its traffic between providers.
-  std::uint64_t update_messages = 0;
-  std::uint64_t route_records = 0;
-  double settle_ms = 0.0;
-  /// ASes whose Loc-RIB changed at least once during the event.
-  std::size_t ases_touched = 0;
-};
-
-/// After convergence, re-homes one multihomed stub (legacy: withdraw +
-/// re-announce its prefixes; LISP: a mapping-system update that touches no
-/// BGP speaker) and measures the churn.  The contrast is the paper's TE
-/// argument: with LISP+PCE, moving ingress traffic is a mapping push, not a
-/// BGP event.
-[[nodiscard]] RehomingChurnResult run_rehoming_churn(const DfzStudyConfig& config);
-
+/// The blast radius of a kPolicyIncident churn event
+/// (ChurnPlanResult::incident).
 struct PolicyEventResult {
   std::size_t dfz_table_before = 0;   ///< tier-1 Loc-RIB pre-event
   std::size_t dfz_table_after = 0;
@@ -163,22 +151,15 @@ struct PolicyEventResult {
   /// TE: path through the chosen provider), and the fraction of all ASes.
   std::size_t ases_preferring_actor = 0;
   double actor_preference_fraction = 0.0;
-};
 
-/// Converges the study with Gao-Rexford roles attached, applies the
-/// configured PolicyEvent, reconverges, and measures the event's blast
-/// radius.  Requires config.policy.roles, a kLegacyBgp scenario, and an
-/// event kind != kNone (throws std::invalid_argument otherwise).
-/// Deterministic for any shard/worker count, like every study here.
-/// Thin wrapper over run_churn_plan with a single kPolicyIncident event.
-[[nodiscard]] PolicyEventResult run_policy_event(const DfzStudyConfig& config);
+  bool operator==(const PolicyEventResult&) const = default;
+};
 
 // ---------------------------------------------------------------------------
 // Unified churn surface: one declarative event vocabulary for everything
-// that perturbs a converged DFZ.  The former hand-rolled flap loops and
-// run_policy_event's direct speaker pokes all execute through
-// run_churn_plan, which mutates the world exclusively via BgpFabric::apply
-// (RouteDelta batches — the fabric's sole mutation entry point).
+// that perturbs a converged DFZ.  run_churn_plan is its single executor,
+// and it mutates the world exclusively via BgpFabric::apply (RouteDelta
+// batches — the fabric's sole mutation entry point).
 // ---------------------------------------------------------------------------
 
 /// One post-convergence churn event.
@@ -186,21 +167,22 @@ struct PolicyEventResult {
 ///   kFlap           — the subject prefixes go down (converge), stay down
 ///                     for `hold`, come back (converge): the paper's §1
 ///                     churn unit, whose amortised cost the soak measures.
-///   kRehome         — the §2 ingress-TE swing run_rehoming_churn always
-///                     modelled: mechanically a whole-site flap with no
-///                     hold (the stub withdraws and immediately re-enters
-///                     via its new preference), kept as its own kind so
-///                     plans and records name the intent.
+///                     A zero-hold whole-site flap is the §2 ingress-TE
+///                     swing (re-homing): the stub withdraws and
+///                     immediately re-enters via its new preference.
 ///   kPrefixDown     — the subject prefixes are withdrawn and stay down.
 ///   kPrefixUp       — the subject prefixes are (re-)announced.
 ///   kPolicyIncident — fires the study's configured PolicyEvent
 ///                     (config.policy.event — the incident is wired into
 ///                     the policy table at build time, so its payload
-///                     lives in the config, not here).
+///                     lives in the config, not here): converge, apply the
+///                     event, reconverge, and measure its blast radius
+///                     (ChurnPlanResult::incident).  Requires
+///                     config.policy.roles, a kLegacyBgp scenario and an
+///                     event kind != kNone.
 struct ChurnEvent {
   enum class Kind : std::uint8_t {
     kFlap,
-    kRehome,
     kPrefixDown,
     kPrefixUp,
     kPolicyIncident,
@@ -224,9 +206,6 @@ struct ChurnEvent {
                                        sim::SimDuration spacing = {}) {
     return ChurnEvent{Kind::kFlap, stub, kWholeSite, hold, spacing};
   }
-  [[nodiscard]] static ChurnEvent rehome(std::size_t stub) {
-    return ChurnEvent{Kind::kRehome, stub, kWholeSite, {}, {}};
-  }
   [[nodiscard]] static ChurnEvent prefix_down(std::size_t stub,
                                               std::size_t prefix_index) {
     return ChurnEvent{Kind::kPrefixDown, stub, prefix_index, {}, {}};
@@ -243,7 +222,7 @@ struct ChurnEvent {
 /// A declarative churn plan: events execute in order on one long-lived
 /// converged fabric (incremental mode), or — `full_replay` — each against
 /// a freshly rebuilt and re-converged world (the marginal-cost baseline).
-/// For state-restoring plans (flaps, re-homes, down/up pairs) the two
+/// For state-restoring plans (flaps, down/up pairs) the two
 /// modes measure byte-identical per-event deltas: a flap restores every
 /// RIB, ledger, and pending set exactly, and event cascades are
 /// time-translation invariant.  Plans with persistent events (a lone
@@ -264,11 +243,13 @@ struct ChurnEventMeasure {
   std::size_t ases_touched = 0;
   /// Engine events the re-convergence fired: the incremental-cost metric.
   std::uint64_t engine_events = 0;
+
+  bool operator==(const ChurnEventMeasure&) const = default;
 };
 
 struct ChurnPlanResult {
   std::vector<ChurnEventMeasure> events;
-  /// kFlap + kRehome events executed (the soak guard's flap count).
+  /// kFlap events executed (the soak guard's flap count).
   std::size_t flaps = 0;
   std::uint64_t update_messages = 0;  ///< totals over all events
   std::uint64_t route_records = 0;
@@ -281,6 +262,10 @@ struct ChurnPlanResult {
   double span_ms = 0.0;
   /// Full blast-radius measurement of the last kPolicyIncident, if any.
   std::optional<PolicyEventResult> incident;
+
+  /// Field-wise equality, doubles exact: the byte-identity contract
+  /// (incremental vs full replay, any shard count) in one comparison.
+  bool operator==(const ChurnPlanResult&) const = default;
 };
 
 /// Executes the plan (see ChurnPlan) and measures every event.  Under
@@ -288,6 +273,9 @@ struct ChurnPlanResult {
 /// hears): flaps are counted but every BGP-side measure is exactly zero,
 /// the paper's churn-amortisation claim in one row.  Deterministic for any
 /// shard/worker count; byte-identical across reruns and sweep --jobs.
+/// Throws std::invalid_argument before building anything, under either
+/// scenario, when an event's stub or prefix index is out of range or a
+/// kPolicyIncident's configuration or target stubs are invalid.
 [[nodiscard]] ChurnPlanResult run_churn_plan(const DfzStudyConfig& config,
                                              const ChurnPlan& plan);
 

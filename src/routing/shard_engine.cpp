@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/rng.hpp"
+
 namespace lispcp::routing {
 
 namespace {
@@ -43,8 +45,7 @@ ConvergenceEngine::ConvergenceEngine(const AsGraph& graph,
   }
   queues_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    queues_.push_back(
-        std::make_unique<sim::ShardQueue>(sim::Rng::derive_seed(config.seed, s)));
+    queues_.push_back(std::make_unique<sim::ShardQueue>());
   }
   outbox_.resize(shards);
   fired_.assign(shards, 0);

@@ -59,8 +59,6 @@ struct ShardEngineConfig {
   sim::SimDuration epoch;
   /// Worker threads driving the shards (0 = min(shards, hardware)).
   std::size_t workers = 0;
-  /// Root seed for the per-shard Rng streams (sim::Rng::derive).
-  std::uint64_t seed = 1;
 };
 
 /// K deterministic shard queues plus the epoch-barrier run loop.

@@ -56,7 +56,11 @@ void run_study(const RunPoint& point, Record& record) {
 }
 
 void run_churn(const RunPoint& point, Record& record) {
-  const auto churn = routing::run_rehoming_churn(point.config.dfz);
+  // The first stub's ingress swing: one zero-hold whole-site flap.
+  routing::ChurnPlan plan;
+  plan.events.push_back(routing::ChurnEvent::flap(0));
+  const auto churn =
+      routing::run_churn_plan(point.config.dfz, plan).events.front();
   record.set_int("updates", churn.update_messages);
   record.set_int("route records", churn.route_records);
   record.set_int("ASes touched", churn.ases_touched);
@@ -131,7 +135,9 @@ Axis event_deagg(std::vector<std::uint64_t> values, std::string name) {
 }
 
 void run_policy_event(const RunPoint& point, Record& record) {
-  const auto result = routing::run_policy_event(point.config.dfz);
+  routing::ChurnPlan plan;
+  plan.events.push_back(routing::ChurnEvent::policy_incident());
+  const auto result = *routing::run_churn_plan(point.config.dfz, plan).incident;
   record.set_int("DFZ before", result.dfz_table_before);
   record.set_int("DFZ after", result.dfz_table_after);
   record.set_int("updates", result.update_messages);

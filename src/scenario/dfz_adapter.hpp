@@ -54,8 +54,9 @@ namespace lispcp::scenario::dfz {
 /// "converge ms", "mapping entries".
 void run_study(const RunPoint& point, Record& record);
 
-/// Runner executor: the post-convergence re-homing churn event.  Fields:
-/// "updates", "route records", "ASes touched", "settle ms".
+/// Runner executor: the post-convergence re-homing churn event — the first
+/// stub's zero-hold whole-site flap, a one-event routing::run_churn_plan.
+/// Fields: "updates", "route records", "ASes touched", "settle ms".
 void run_churn(const RunPoint& point, Record& record);
 
 // ---------------------------------------------------------------------------
@@ -105,8 +106,8 @@ void run_soak(const RunPoint& point, Record& record);
 [[nodiscard]] Axis event_deagg(std::vector<std::uint64_t> values,
                                std::string name = "event deagg");
 
-/// Runner executor: converge, apply the point's PolicyEvent, reconverge
-/// (routing::run_policy_event).  Fields: "DFZ before", "DFZ after",
+/// Runner executor: converge, apply the point's PolicyEvent, reconverge (a
+/// one-event routing::run_churn_plan).  Fields: "DFZ before", "DFZ after",
 /// "updates", "route records", "settle ms", "ASes touched",
 /// "announcements", "RIB delta", "RIB/ann", "churn/ann", "captured ASes",
 /// "captured".

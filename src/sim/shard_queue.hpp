@@ -19,10 +19,6 @@
 // events at the same state-carrying endpoint ever collide on (cause, tag)
 // (see DESIGN.md §"Sharded BGP execution" for the BGP argument).
 //
-// The facade is seedable: each shard owns an Rng stream derived from the
-// engine seed, so shard-local stochastic components (none in BGP-lite
-// today) would stay deterministic and partition-independent too.
-//
 // Not thread-safe by itself: one worker drives a shard's window at a time,
 // and the engine's epoch barrier publishes cross-shard insertions.
 #pragma once
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "core/inline_function.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace lispcp::sim {
@@ -56,7 +51,7 @@ struct EventKey {
 /// A deterministic, identity-keyed event queue for one shard.
 class ShardQueue {
  public:
-  explicit ShardQueue(std::uint64_t seed = 1) : rng_(seed) {}
+  ShardQueue() = default;
 
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
@@ -83,9 +78,6 @@ class ShardQueue {
   /// the global convergence instant when a run completes.
   void set_now(SimTime t) noexcept { now_ = t; }
 
-  /// The shard's private random stream (seeded by the engine).
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
-
  private:
   struct Entry {
     SimTime time;
@@ -105,7 +97,6 @@ class ShardQueue {
   std::vector<Entry> heap_;
   SimTime now_;
   std::uint64_t seq_ = 0;
-  Rng rng_;
 };
 
 }  // namespace lispcp::sim

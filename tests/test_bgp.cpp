@@ -499,16 +499,24 @@ TEST(DfzStudy, DeaggregationMultipliesLegacyTableNotLisp) {
   EXPECT_EQ(lisp4.mapping_system_entries, 80u);
 }
 
+/// The first stub's re-homing swing: a one-event plan of one zero-hold
+/// whole-site flap.
+ChurnEventMeasure rehoming_churn(const DfzStudyConfig& config) {
+  ChurnPlan plan;
+  plan.events.push_back(ChurnEvent::flap(0));
+  return run_churn_plan(config, plan).events.front();
+}
+
 TEST(DfzStudy, RehomingChurnIsZeroUnderLisp) {
   const auto churn =
-      run_rehoming_churn(small_study(AddressingScenario::kLispRlocOnly, 1));
+      rehoming_churn(small_study(AddressingScenario::kLispRlocOnly, 1));
   EXPECT_EQ(churn.update_messages, 0u);
   EXPECT_EQ(churn.ases_touched, 0u);
 }
 
 TEST(DfzStudy, RehomingChurnIsGlobalUnderLegacyBgp) {
   const auto churn =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
   EXPECT_GT(churn.update_messages, 0u);
   EXPECT_GT(churn.route_records, 0u);
   EXPECT_GT(churn.ases_touched, 5u)
@@ -518,9 +526,9 @@ TEST(DfzStudy, RehomingChurnIsGlobalUnderLegacyBgp) {
 
 TEST(DfzStudy, ChurnScalesWithDeaggregation) {
   const auto one =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 1));
   const auto four =
-      run_rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 4));
+      rehoming_churn(small_study(AddressingScenario::kLegacyBgp, 4));
   EXPECT_GT(four.route_records, one.route_records)
       << "each more-specific multiplies the records in the flap";
 }
@@ -632,33 +640,16 @@ TEST(ShardedBgp, ShardingRequiresPositiveSessionDelay) {
   EXPECT_THROW(BgpFabric(graph, config), std::invalid_argument);
 }
 
-bool operator_eq(const RehomingChurnResult& a, const RehomingChurnResult& b) {
-  return a.update_messages == b.update_messages &&
-         a.route_records == b.route_records && a.settle_ms == b.settle_ms &&
-         a.ases_touched == b.ases_touched;
-}
-
-bool operator_eq(const DfzStudyResult& a, const DfzStudyResult& b) {
-  return a.dfz_table_size == b.dfz_table_size &&
-         a.mean_rib_size == b.mean_rib_size &&
-         a.max_rib_size == b.max_rib_size &&
-         a.update_messages == b.update_messages &&
-         a.route_records == b.route_records &&
-         a.convergence_ms == b.convergence_ms &&
-         a.mapping_system_entries == b.mapping_system_entries &&
-         a.bgp_origin_prefixes == b.bgp_origin_prefixes;
-}
-
 TEST(ShardedBgp, RehomingChurnIsDeterministicAcrossShardsAndRuns) {
   DfzStudyConfig config = small_study(AddressingScenario::kLegacyBgp, 4);
-  const auto reference = run_rehoming_churn(config);
+  const auto reference = rehoming_churn(config);
   // Same seed, repeated run: identical result.
-  EXPECT_TRUE(operator_eq(run_rehoming_churn(config), reference));
+  EXPECT_EQ(rehoming_churn(config), reference);
   // Same seed, any shard count (and a multi-worker run): identical result.
   for (const std::size_t shards : {2u, 8u}) {
     config.bgp.shards = shards;
     config.bgp.shard_workers = shards == 8 ? 4 : 0;
-    EXPECT_TRUE(operator_eq(run_rehoming_churn(config), reference))
+    EXPECT_EQ(rehoming_churn(config), reference)
         << "churn diverged at " << shards << " shards";
   }
 }
@@ -668,7 +659,7 @@ TEST(ShardedBgp, DfzStudyIsDeterministicAcrossShards) {
   const auto reference = run_dfz_study(config);
   for (const std::size_t shards : {2u, 5u}) {
     config.bgp.shards = shards;
-    EXPECT_TRUE(operator_eq(run_dfz_study(config), reference))
+    EXPECT_EQ(run_dfz_study(config), reference)
         << "study diverged at " << shards << " shards";
   }
 }

@@ -3,8 +3,8 @@
 // long-lived fabric must be byte-identical to the same plan measured
 // against a freshly rebuilt world per event (full replay), for every shard
 // count — plus RouteDelta batch-grouping invariance, idle-clock
-// time-translation invariance, and wrapper equivalence for the legacy
-// run_rehoming_churn / run_policy_event entry points.
+// time-translation invariance, and plan validation that rejects a bad plan
+// before any world is built, under either addressing scenario.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -27,30 +27,6 @@ DfzStudyConfig small_config(std::size_t deagg = 1) {
   return config;
 }
 
-bool measures_eq(const ChurnEventMeasure& a, const ChurnEventMeasure& b) {
-  return a.kind == b.kind && a.update_messages == b.update_messages &&
-         a.route_records == b.route_records && a.settle_ms == b.settle_ms &&
-         a.ases_touched == b.ases_touched &&
-         a.engine_events == b.engine_events;
-}
-
-bool results_eq(const ChurnPlanResult& a, const ChurnPlanResult& b) {
-  if (a.events.size() != b.events.size() || a.flaps != b.flaps ||
-      a.update_messages != b.update_messages ||
-      a.route_records != b.route_records ||
-      a.engine_events != b.engine_events ||
-      a.mean_updates_per_flap != b.mean_updates_per_flap ||
-      a.mean_records_per_flap != b.mean_records_per_flap ||
-      a.mean_settle_ms != b.mean_settle_ms ||
-      a.max_settle_ms != b.max_settle_ms || a.span_ms != b.span_ms) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    if (!measures_eq(a.events[i], b.events[i])) return false;
-  }
-  return true;
-}
-
 TEST(ChurnPlan, IncrementalMatchesFullReplayExactly) {
   // The tentpole's parity gate in unit form: randomized flap sequences,
   // measured incrementally and by rebuild-per-event, must agree on every
@@ -71,7 +47,7 @@ TEST(ChurnPlan, IncrementalMatchesFullReplayExactly) {
     replay.full_replay = true;
     const ChurnPlanResult full = run_churn_plan(config, replay);
 
-    EXPECT_TRUE(results_eq(incremental, full))
+    EXPECT_EQ(incremental, full)
         << "incremental diverged from full replay at " << shards << " shards";
     EXPECT_GT(incremental.update_messages, 0u);
     EXPECT_EQ(incremental.flaps, 6u);
@@ -82,12 +58,12 @@ TEST(ChurnPlan, DeterministicAcrossShardCountsAndReruns) {
   const ChurnPlan plan = make_flap_plan(4, 20, 7, sim::SimDuration::seconds(60),
                                         sim::SimDuration::seconds(10));
   const ChurnPlanResult reference = run_churn_plan(small_config(), plan);
-  EXPECT_TRUE(results_eq(run_churn_plan(small_config(), plan), reference))
+  EXPECT_EQ(run_churn_plan(small_config(), plan), reference)
       << "rerun diverged";
   for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
     DfzStudyConfig config = small_config();
     config.bgp.shards = shards;
-    EXPECT_TRUE(results_eq(run_churn_plan(config, plan), reference))
+    EXPECT_EQ(run_churn_plan(config, plan), reference)
         << "churn plan diverged at " << shards << " shards";
   }
 }
@@ -103,7 +79,7 @@ TEST(ChurnPlan, FlapsAreStateRestoring) {
                                          sim::SimDuration::seconds(30)));
   const ChurnPlanResult result = run_churn_plan(small_config(), plan);
   ASSERT_EQ(result.events.size(), 2u);
-  EXPECT_TRUE(measures_eq(result.events[0], result.events[1]));
+  EXPECT_EQ(result.events[0], result.events[1]);
   EXPECT_GT(result.events[0].engine_events, 0u);
 }
 
@@ -119,7 +95,7 @@ TEST(ChurnPlan, SpacingDoesNotChangeMeasures) {
   const auto b = run_churn_plan(small_config(), spread);
   ASSERT_EQ(a.events.size(), 1u);
   ASSERT_EQ(b.events.size(), 1u);
-  EXPECT_TRUE(measures_eq(a.events[0], b.events[0]));
+  EXPECT_EQ(a.events[0], b.events[0]);
   EXPECT_GT(b.span_ms, a.span_ms);
 }
 
@@ -174,15 +150,28 @@ TEST(ChurnPlan, LispScenarioMeasuresZeroButCountsFlaps) {
   EXPECT_GT(result.span_ms, 0.0);
 }
 
-TEST(ChurnPlan, OutOfRangeStubThrows) {
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::flap(500));
-  EXPECT_THROW((void)run_churn_plan(small_config(), plan),
-               std::invalid_argument);
-  ChurnPlan bad_index;
-  bad_index.events.push_back(ChurnEvent::prefix_down(0, 9));
-  EXPECT_THROW((void)run_churn_plan(small_config(), bad_index),
-               std::invalid_argument);
+TEST(ChurnPlan, InvalidPlansThrowUnderBothScenarios) {
+  // Validation runs once, before the scenario branch: a plan the legacy
+  // scenario rejects must not pass as mapping-side churn under LISP.
+  const auto plan_of = [](std::vector<ChurnEvent> events) {
+    ChurnPlan plan;
+    plan.events = std::move(events);
+    return plan;
+  };
+  const std::vector<ChurnPlan> invalid = {
+      plan_of({ChurnEvent::flap(0), ChurnEvent::flap(999)}),
+      plan_of({ChurnEvent::prefix_up(20, 0)}),
+      plan_of({ChurnEvent::prefix_down(0, 2)}),  // deagg 2: indices 0 and 1
+  };
+  for (const auto scenario :
+       {AddressingScenario::kLegacyBgp, AddressingScenario::kLispRlocOnly}) {
+    DfzStudyConfig config = small_config(2);
+    config.scenario = scenario;
+    for (const ChurnPlan& plan : invalid) {
+      EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument)
+          << to_string(scenario);
+    }
+  }
 }
 
 TEST(MakeFlapPlan, DeterministicPerSeed) {
@@ -213,20 +202,7 @@ TEST(MakeFlapPlan, DeterministicPerSeed) {
                std::invalid_argument);
 }
 
-TEST(ChurnWrappers, RehomingChurnEqualsSingleRehomePlan) {
-  const DfzStudyConfig config = small_config(4);
-  const RehomingChurnResult legacy = run_rehoming_churn(config);
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::rehome(0));
-  const ChurnPlanResult churn = run_churn_plan(config, plan);
-  ASSERT_EQ(churn.events.size(), 1u);
-  EXPECT_EQ(legacy.update_messages, churn.events[0].update_messages);
-  EXPECT_EQ(legacy.route_records, churn.events[0].route_records);
-  EXPECT_EQ(legacy.settle_ms, churn.events[0].settle_ms);
-  EXPECT_EQ(legacy.ases_touched, churn.events[0].ases_touched);
-}
-
-TEST(ChurnWrappers, PolicyIncidentValidationStillThrows) {
+TEST(ChurnPlan, PolicyIncidentValidationThrows) {
   DfzStudyConfig config = small_config();
   ChurnPlan plan;
   plan.events.push_back(ChurnEvent::policy_incident());
@@ -238,26 +214,17 @@ TEST(ChurnWrappers, PolicyIncidentValidationStillThrows) {
   config.scenario = AddressingScenario::kLegacyBgp;
   // kind still kNone.
   EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-}
-
-TEST(ChurnWrappers, PolicyIncidentInsidePlanMatchesRunPolicyEvent) {
-  DfzStudyConfig config = small_config();
-  config.policy.roles = true;
   config.policy.event.kind = PolicyEvent::Kind::kHijackMoreSpecific;
-  config.policy.event.victim_stub = 0;
+  config.policy.event.deagg_factor = 3;
+  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
   config.policy.event.deagg_factor = 2;
-  const PolicyEventResult direct = run_policy_event(config);
-
-  ChurnPlan plan;
-  plan.events.push_back(ChurnEvent::policy_incident());
-  const ChurnPlanResult churn = run_churn_plan(config, plan);
-  ASSERT_TRUE(churn.incident.has_value());
-  EXPECT_EQ(direct.update_messages, churn.incident->update_messages);
-  EXPECT_EQ(direct.route_records, churn.incident->route_records);
-  EXPECT_EQ(direct.ases_touched, churn.incident->ases_touched);
-  EXPECT_EQ(direct.ases_preferring_actor, churn.incident->ases_preferring_actor);
-  EXPECT_EQ(direct.rib_delta, churn.incident->rib_delta);
-  EXPECT_EQ(direct.settle_ms, churn.incident->settle_ms);
+  config.policy.event.victim_stub = 20;
+  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
+  config.policy.event.victim_stub = 0;
+  config.policy.event.actor_stub = 20;
+  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
+  config.policy.event.actor_stub = 19;
+  EXPECT_TRUE(run_churn_plan(config, plan).incident.has_value());
 }
 
 TEST(RouteDeltaApi, BatchGroupingIsObservationallyIdentical) {

@@ -310,22 +310,30 @@ DfzStudyConfig event_config(PolicyEvent::Kind kind, double filtered = 0.0) {
   return config;
 }
 
+/// Converges, fires the configured PolicyEvent, reconverges: a one-event
+/// churn plan.
+PolicyEventResult run_incident(const DfzStudyConfig& config) {
+  ChurnPlan plan;
+  plan.events.push_back(ChurnEvent::policy_incident());
+  return *run_churn_plan(config, plan).incident;
+}
+
 TEST(PolicyEvent, RequiresRolesLegacyAndAKind) {
   auto config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
   config.policy.roles = false;
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
   config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
   config.scenario = AddressingScenario::kLispRlocOnly;
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
   config = event_config(PolicyEvent::Kind::kNone);
-  EXPECT_THROW((void)run_policy_event(config), std::invalid_argument);
+  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
 }
 
 TEST(PolicyEvent, MoreSpecificHijackPropagatesStrictlyFurther) {
   const auto more =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific));
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific));
   const auto same =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackSameSpecific));
+      run_incident(event_config(PolicyEvent::Kind::kHijackSameSpecific));
   // The paper-facing contrast: longest-prefix match hands the more-specific
   // hijacker every AS its announcement reaches, while the same-specific
   // forgery stays distance-limited by the decision process.
@@ -336,9 +344,9 @@ TEST(PolicyEvent, MoreSpecificHijackPropagatesStrictlyFurther) {
 
 TEST(PolicyEvent, OriginFiltersContainTheHijack) {
   const auto open =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 0.0));
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 0.0));
   const auto filtered =
-      run_policy_event(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 1.0));
+      run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific, 1.0));
   EXPECT_LT(filtered.ases_preferring_actor, open.ases_preferring_actor);
   // Every transit applies strict customer-origin filters: the forged
   // more-specifics die at the actor's own provider sessions.
@@ -346,7 +354,7 @@ TEST(PolicyEvent, OriginFiltersContainTheHijack) {
 }
 
 TEST(PolicyEvent, RouteLeakDetoursTraffic) {
-  const auto leak = run_policy_event(event_config(PolicyEvent::Kind::kRouteLeak));
+  const auto leak = run_incident(event_config(PolicyEvent::Kind::kRouteLeak));
   EXPECT_GT(leak.event_announcements, 0u);
   EXPECT_GT(leak.ases_preferring_actor, 0u);
   EXPECT_GT(leak.ases_touched, 0u);
@@ -354,9 +362,9 @@ TEST(PolicyEvent, RouteLeakDetoursTraffic) {
 
 TEST(PolicyEvent, SelectiveDeaggSteersWithLessChurnThanBroadcast) {
   const auto selective =
-      run_policy_event(event_config(PolicyEvent::Kind::kSelectiveDeagg));
+      run_incident(event_config(PolicyEvent::Kind::kSelectiveDeagg));
   const auto broadcast =
-      run_policy_event(event_config(PolicyEvent::Kind::kBroadcastDeagg));
+      run_incident(event_config(PolicyEvent::Kind::kBroadcastDeagg));
   // Steering: under selective announcement (export maps withhold the
   // more-specifics from all but the chosen provider) nearly every AS routes
   // the pieces through that provider; broadcast splits the ingress.

@@ -51,7 +51,9 @@ TEST(SnapshotCow, ForkedDfzPointsAreIsolated) {
 
   // A sibling fork that mutates aggressively: the churn study converges,
   // withdraws a site, and re-announces it over the *shared* graph.
-  (void)routing::run_rehoming_churn(config);
+  routing::ChurnPlan flap;
+  flap.events.push_back(routing::ChurnEvent::flap(0));
+  (void)routing::run_churn_plan(config, flap);
 
   const auto repeat = routing::run_dfz_study(config);
   EXPECT_EQ(baseline.dfz_table_size, repeat.dfz_table_size);

@@ -1,10 +1,10 @@
 // Tests for the export update-group + interned-attribute pipeline: grouped
 // fan-out must reproduce the golden fingerprints captured from the
-// per-neighbor export leg (BgpConfig::share_exports = false) for every
-// shard count, with and without policy attached; AttrTable must dedupe and
-// evict; and a post-convergence policy edit (the sanctioned kRefresh path)
-// must rebuild the groups and land on the pinned tables, as must the
-// route-leak study.
+// per-neighbor export leg it replaced (since deleted; see git history) for
+// every shard count, with and without policy attached; AttrTable must
+// dedupe and evict; and a post-convergence policy edit (the sanctioned
+// kRefresh path) must rebuild the groups and land on the pinned tables, as
+// must the route-leak study.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,7 @@ namespace {
 /// Serialises everything observable about a converged fabric — stats,
 /// Loc-RIBs with provenance and full paths, communities, and the
 /// convergence instant.  Equal fingerprints mean equal results down to the
-/// last counter, which is the grouped-vs-ungrouped contract.
+/// last counter, which is the contract the goldens pin.
 std::string fingerprint(const BgpFabric& fabric) {
   std::ostringstream os;
   os << "t=" << fabric.now().ns() << "\n";
@@ -63,7 +63,7 @@ std::uint64_t fnv1a64(const std::string& bytes) {
 }
 
 // Goldens captured from the per-neighbor export leg — the pre-update-group
-// path, which runs the export computation once per session — at K=1.
+// path, which ran the export computation once per session — at K=1.
 constexpr std::uint64_t kPolicyOffGolden = 0x09b294de2d8c7d66u;
 constexpr std::uint64_t kRolesGolden = 0xa025921c21b251f1u;
 constexpr std::uint64_t kRouteMapsGolden = 0x0935ede3a0f70eefu;
@@ -80,12 +80,11 @@ AsGraph test_internet(std::uint64_t seed) {
 
 /// Originates one prefix per AS (the property-sweep world) and converges.
 std::string converge_and_fingerprint(
-    const AsGraph& graph, std::size_t shards, bool share_exports,
+    const AsGraph& graph, std::size_t shards,
     std::shared_ptr<const policy::PolicyTable> policy = nullptr) {
   BgpConfig config;
   config.shards = shards;
   config.shard_workers = 1;
-  config.share_exports = share_exports;
   config.policy = std::move(policy);
   BgpFabric fabric(graph, config);
   const auto stubs = graph.ases_of_tier(AsTier::kStub);
@@ -105,10 +104,8 @@ std::string converge_and_fingerprint(
 
 TEST(UpdateGroups, GroupedMatchesPerNeighborPolicyOff) {
   const AsGraph graph = test_internet(5);
-  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false)),
-            kPolicyOffGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true)),
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards)),
               kPolicyOffGolden)
         << "grouped export diverged from per-neighbor at K=" << shards;
   }
@@ -117,10 +114,8 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborPolicyOff) {
 TEST(UpdateGroups, GroupedMatchesPerNeighborWithRoles) {
   const AsGraph graph = test_internet(9);
   const auto policy = policy::PolicyTable::gao_rexford(graph);
-  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false, policy)),
-            kRolesGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true, policy)),
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, policy)),
               kRolesGolden)
         << "grouped export diverged under role policy at K=" << shards;
   }
@@ -131,7 +126,7 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborWithRouteMaps) {
   // Roles plus real export maps: a TE prepend toward half of each stub's
   // providers and a community tag on the rest, so sessions of the same
   // NeighborKind land in *different* update-groups and the map-evaluation
-  // leg (prepend + community edits) is exercised through both code paths.
+  // leg (prepend + community edits) runs.
   const auto policy = policy::PolicyTable::gao_rexford(graph);
   policy::RouteMap& prepend_map = policy->add_map("te:prepend");
   prepend_map.add(policy::RouteMap::Action::kPermit).prepend(2);
@@ -146,10 +141,8 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborWithRouteMaps) {
       flip = !flip;
     }
   }
-  EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, 1, false, policy)),
-            kRouteMapsGolden);
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, true, policy)),
+    EXPECT_EQ(fnv1a64(converge_and_fingerprint(graph, shards, policy)),
               kRouteMapsGolden)
         << "grouped export diverged under export maps at K=" << shards;
   }
@@ -157,30 +150,6 @@ TEST(UpdateGroups, GroupedMatchesPerNeighborWithRouteMaps) {
 
 // ---------------------------------------------------------------------------
 // Churn: incremental vs full-replay, pinned to the per-neighbor golden.
-
-bool measures_eq(const ChurnEventMeasure& a, const ChurnEventMeasure& b) {
-  return a.kind == b.kind && a.update_messages == b.update_messages &&
-         a.route_records == b.route_records && a.settle_ms == b.settle_ms &&
-         a.ases_touched == b.ases_touched &&
-         a.engine_events == b.engine_events;
-}
-
-bool results_eq(const ChurnPlanResult& a, const ChurnPlanResult& b) {
-  if (a.events.size() != b.events.size() || a.flaps != b.flaps ||
-      a.update_messages != b.update_messages ||
-      a.route_records != b.route_records ||
-      a.engine_events != b.engine_events ||
-      a.mean_updates_per_flap != b.mean_updates_per_flap ||
-      a.mean_records_per_flap != b.mean_records_per_flap ||
-      a.mean_settle_ms != b.mean_settle_ms ||
-      a.max_settle_ms != b.max_settle_ms || a.span_ms != b.span_ms) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    if (!measures_eq(a.events[i], b.events[i])) return false;
-  }
-  return true;
-}
 
 TEST(UpdateGroups, ChurnPlanMatchesGoldenInBothReplayModes) {
   DfzStudyConfig config;
@@ -204,20 +173,17 @@ TEST(UpdateGroups, ChurnPlanMatchesGoldenInBothReplayModes) {
     EXPECT_DOUBLE_EQ(result.max_settle_ms, 1234.887178);
     EXPECT_DOUBLE_EQ(result.span_ms, 306473.593782);
   };
-  DfzStudyConfig ungrouped = config;
-  ungrouped.bgp.share_exports = false;
-  expect_golden(run_churn_plan(ungrouped, plan));
   const ChurnPlanResult reference = run_churn_plan(config, plan);
   expect_golden(reference);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     DfzStudyConfig sharded = config;
     sharded.bgp.shards = shards;
-    EXPECT_TRUE(results_eq(run_churn_plan(sharded, plan), reference))
+    EXPECT_EQ(run_churn_plan(sharded, plan), reference)
         << "incremental churn diverged at K=" << shards;
     ChurnPlan replay = plan;
     replay.full_replay = true;
-    EXPECT_TRUE(results_eq(run_churn_plan(sharded, replay), reference))
+    EXPECT_EQ(run_churn_plan(sharded, replay), reference)
         << "full-replay churn diverged at K=" << shards;
   }
 }
@@ -332,32 +298,23 @@ TEST(UpdateGroups, RefreshRebuildsExportGroups) {
   // per-neighbor golden over the whole sequence, plus the group partition
   // actually splitting.
   const net::Ipv4Prefix prefix = net::Ipv4Prefix::from_string("100.0.0.0/20");
-  const auto run_sequence = [&](bool share_exports) {
-    const auto policy = policy::PolicyTable::gao_rexford(graph);
-    BgpConfig config;
-    config.policy = policy;
-    config.share_exports = share_exports;
-    BgpFabric fabric(graph, config);
-    if (share_exports) {
-      EXPECT_EQ(fabric.speaker(AsNumber{3}).export_group_count(), 1u)
-          << "identical provider sessions must share one update-group";
-    }
-    fabric.apply({RouteDelta::announce(AsNumber{3}, prefix)});
-    fabric.run_to_convergence();
+  const auto policy = policy::PolicyTable::gao_rexford(graph);
+  BgpConfig config;
+  config.policy = policy;
+  BgpFabric fabric(graph, config);
+  EXPECT_EQ(fabric.speaker(AsNumber{3}).export_group_count(), 1u)
+      << "identical provider sessions must share one update-group";
+  fabric.apply({RouteDelta::announce(AsNumber{3}, prefix)});
+  fabric.run_to_convergence();
 
-    policy::RouteMap& prepend = policy->add_map("te:prepend");
-    prepend.add(policy::RouteMap::Action::kPermit).prepend(1);
-    policy->session(AsNumber{3}, AsNumber{1}).export_map = &prepend;
-    fabric.apply({RouteDelta::refresh(AsNumber{3}, AsNumber{1})});
-    fabric.run_to_convergence();
-    if (share_exports) {
-      EXPECT_EQ(fabric.speaker(AsNumber{3}).export_group_count(), 2u)
-          << "kRefresh must rebuild the update-group partition";
-    }
-    return fingerprint(fabric);
-  };
-  const std::string grouped = run_sequence(true);
-  EXPECT_EQ(fnv1a64(run_sequence(false)), kRefreshGolden);
+  policy::RouteMap& prepend = policy->add_map("te:prepend");
+  prepend.add(policy::RouteMap::Action::kPermit).prepend(1);
+  policy->session(AsNumber{3}, AsNumber{1}).export_map = &prepend;
+  fabric.apply({RouteDelta::refresh(AsNumber{3}, AsNumber{1})});
+  fabric.run_to_convergence();
+  EXPECT_EQ(fabric.speaker(AsNumber{3}).export_group_count(), 2u)
+      << "kRefresh must rebuild the update-group partition";
+  const std::string grouped = fingerprint(fabric);
   EXPECT_EQ(fnv1a64(grouped), kRefreshGolden)
       << "grouped export diverged across a mid-life policy edit";
   EXPECT_NE(grouped.find("p 3 3"), std::string::npos)
@@ -377,20 +334,18 @@ TEST(UpdateGroups, RouteLeakStudyMatchesPerNeighborGolden) {
   config.policy.roles = true;
   config.policy.event.kind = PolicyEvent::Kind::kRouteLeak;
 
-  DfzStudyConfig ungrouped = config;
-  ungrouped.bgp.share_exports = false;
-  for (const DfzStudyConfig& leg : {config, ungrouped}) {
-    const PolicyEventResult leak = run_policy_event(leg);
-    EXPECT_EQ(leak.dfz_table_before, 24u);
-    EXPECT_EQ(leak.dfz_table_after, 24u);
-    EXPECT_EQ(leak.update_messages, 36u);
-    EXPECT_EQ(leak.route_records, 101u);
-    EXPECT_DOUBLE_EQ(leak.settle_ms, 547.338488);
-    EXPECT_EQ(leak.ases_touched, 10u);
-    EXPECT_EQ(leak.event_announcements, 24u);
-    EXPECT_EQ(leak.rib_delta, 0u);
-    EXPECT_EQ(leak.ases_preferring_actor, 10u);
-  }
+  ChurnPlan plan;
+  plan.events.push_back(ChurnEvent::policy_incident());
+  const PolicyEventResult leak = *run_churn_plan(config, plan).incident;
+  EXPECT_EQ(leak.dfz_table_before, 24u);
+  EXPECT_EQ(leak.dfz_table_after, 24u);
+  EXPECT_EQ(leak.update_messages, 36u);
+  EXPECT_EQ(leak.route_records, 101u);
+  EXPECT_DOUBLE_EQ(leak.settle_ms, 547.338488);
+  EXPECT_EQ(leak.ases_touched, 10u);
+  EXPECT_EQ(leak.event_announcements, 24u);
+  EXPECT_EQ(leak.rib_delta, 0u);
+  EXPECT_EQ(leak.ases_preferring_actor, 10u);
 }
 
 }  // namespace
