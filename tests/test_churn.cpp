@@ -7,6 +7,9 @@
 // before any world is built, under either addressing scenario.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "routing/bgp.hpp"
@@ -25,6 +28,18 @@ DfzStudyConfig small_config(std::size_t deagg = 1) {
   config.scenario = AddressingScenario::kLegacyBgp;
   config.deaggregation_factor = deagg;
   return config;
+}
+
+/// Expects run_churn_plan to reject the plan with its own validation
+/// error, which names run_churn_plan.
+void expect_rejected(const DfzStudyConfig& config, const ChurnPlan& plan) {
+  try {
+    (void)run_churn_plan(config, plan);
+    ADD_FAILURE() << "plan was not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("run_churn_plan: ", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(ChurnPlan, IncrementalMatchesFullReplayExactly) {
@@ -153,23 +168,20 @@ TEST(ChurnPlan, LispScenarioMeasuresZeroButCountsFlaps) {
 TEST(ChurnPlan, InvalidPlansThrowUnderBothScenarios) {
   // Validation runs once, before the scenario branch: a plan the legacy
   // scenario rejects must not pass as mapping-side churn under LISP.
-  const auto plan_of = [](std::vector<ChurnEvent> events) {
-    ChurnPlan plan;
-    plan.events = std::move(events);
-    return plan;
-  };
-  const std::vector<ChurnPlan> invalid = {
-      plan_of({ChurnEvent::flap(0), ChurnEvent::flap(999)}),
-      plan_of({ChurnEvent::prefix_up(20, 0)}),
-      plan_of({ChurnEvent::prefix_down(0, 2)}),  // deagg 2: indices 0 and 1
+  const std::vector<std::vector<ChurnEvent>> invalid = {
+      {ChurnEvent::flap(0), ChurnEvent::flap(999)},
+      {ChurnEvent::prefix_up(20, 0)},
+      {ChurnEvent::prefix_down(0, 2)},  // deagg 2: indices 0 and 1
   };
   for (const auto scenario :
        {AddressingScenario::kLegacyBgp, AddressingScenario::kLispRlocOnly}) {
     DfzStudyConfig config = small_config(2);
     config.scenario = scenario;
-    for (const ChurnPlan& plan : invalid) {
-      EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument)
-          << to_string(scenario);
+    for (const auto& events : invalid) {
+      ChurnPlan plan;
+      plan.events = events;
+      SCOPED_TRACE(to_string(scenario));
+      expect_rejected(config, plan);
     }
   }
 }
@@ -203,28 +215,27 @@ TEST(MakeFlapPlan, DeterministicPerSeed) {
 }
 
 TEST(ChurnPlan, PolicyIncidentValidationThrows) {
-  DfzStudyConfig config = small_config();
+  // Each check in isolation: break one field of a valid incident at a time.
+  DfzStudyConfig valid = small_config();
+  valid.policy.roles = true;
+  valid.policy.event.kind = PolicyEvent::Kind::kHijackMoreSpecific;
   ChurnPlan plan;
   plan.events.push_back(ChurnEvent::policy_incident());
-  // roles off -> invalid_argument, before anything is built.
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.policy.roles = true;
-  config.scenario = AddressingScenario::kLispRlocOnly;
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.scenario = AddressingScenario::kLegacyBgp;
-  // kind still kNone.
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.policy.event.kind = PolicyEvent::Kind::kHijackMoreSpecific;
-  config.policy.event.deagg_factor = 3;
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.policy.event.deagg_factor = 2;
-  config.policy.event.victim_stub = 20;
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.policy.event.victim_stub = 0;
-  config.policy.event.actor_stub = 20;
-  EXPECT_THROW((void)run_churn_plan(config, plan), std::invalid_argument);
-  config.policy.event.actor_stub = 19;
-  EXPECT_TRUE(run_churn_plan(config, plan).incident.has_value());
+  EXPECT_TRUE(run_churn_plan(valid, plan).incident.has_value());
+
+  const std::vector<std::function<void(DfzStudyConfig&)>> breaks = {
+      [](DfzStudyConfig& c) { c.policy.roles = false; },
+      [](DfzStudyConfig& c) { c.scenario = AddressingScenario::kLispRlocOnly; },
+      [](DfzStudyConfig& c) { c.policy.event.kind = PolicyEvent::Kind::kNone; },
+      [](DfzStudyConfig& c) { c.policy.event.deagg_factor = 3; },
+      [](DfzStudyConfig& c) { c.policy.event.victim_stub = 20; },
+      [](DfzStudyConfig& c) { c.policy.event.actor_stub = 20; },
+  };
+  for (const auto& breaks_one : breaks) {
+    DfzStudyConfig config = valid;
+    breaks_one(config);
+    expect_rejected(config, plan);
+  }
 }
 
 TEST(RouteDeltaApi, BatchGroupingIsObservationallyIdentical) {

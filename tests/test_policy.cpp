@@ -318,17 +318,6 @@ PolicyEventResult run_incident(const DfzStudyConfig& config) {
   return *run_churn_plan(config, plan).incident;
 }
 
-TEST(PolicyEvent, RequiresRolesLegacyAndAKind) {
-  auto config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
-  config.policy.roles = false;
-  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
-  config = event_config(PolicyEvent::Kind::kHijackMoreSpecific);
-  config.scenario = AddressingScenario::kLispRlocOnly;
-  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
-  config = event_config(PolicyEvent::Kind::kNone);
-  EXPECT_THROW((void)run_incident(config), std::invalid_argument);
-}
-
 TEST(PolicyEvent, MoreSpecificHijackPropagatesStrictlyFurther) {
   const auto more =
       run_incident(event_config(PolicyEvent::Kind::kHijackMoreSpecific));
