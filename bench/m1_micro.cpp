@@ -1,7 +1,6 @@
 // M1 — microbenchmarks: the per-packet costs the paper's "line rate"
 // assumptions rest on — LISP encap/decap header work, map-cache and LPM
-// lookups, DNS and control-message (de)serialization, event-queue and
-// shard-queue throughput.
+// lookups, DNS and control-message (de)serialization, event-queue throughput.
 //
 // Ported onto the shared bench CLI (bench_util.hpp) like every other bench:
 // each micro is a point on a labelled axis, timed by a self-calibrating
@@ -39,7 +38,6 @@
 #include "routing/dfz_study.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "sim/shard_queue.hpp"
 
 namespace lispcp {
 namespace {
@@ -488,28 +486,6 @@ std::vector<Micro> registry() {
           t = fired.time.ns();
         }
       }
-    });
-  }});
-
-  micros.push_back({"shard-queue schedule+fire", [] {
-    return std::function<void(std::uint64_t)>([](std::uint64_t iters) {
-      // The sharded engine's identity-keyed queue on the same in-flight
-      // profile as the event-queue micro above.
-      sim::ShardQueue queue;
-      std::int64_t t = 0;
-      sim::Rng rng(3);
-      std::uint64_t fired_through = 0;
-      for (std::uint64_t i = 0; i < iters; ++i) {
-        const auto at = sim::SimTime::from_ns(
-            t + static_cast<std::int64_t>(rng.uniform_int(1, 1'000'000)));
-        queue.schedule(at, sim::EventKey{t, i}, [] {});
-        if (queue.size() > 1000) {
-          const auto end = queue.next_time() + sim::SimDuration::nanos(1);
-          fired_through += queue.run_window(end);
-          t = queue.now().ns();
-        }
-      }
-      keep(fired_through);
     });
   }});
 

@@ -43,9 +43,9 @@ ConvergenceEngine::ConvergenceEngine(const AsGraph& graph,
         "ConvergenceEngine: sharded execution needs a positive lookahead "
         "(epoch)");
   }
-  queues_.reserve(shards);
+  shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    queues_.push_back(std::make_unique<sim::ShardQueue>());
+    shards_.push_back(std::make_unique<Shard>());
   }
   outbox_.resize(shards);
   fired_.assign(shards, 0);
@@ -99,8 +99,9 @@ std::size_t ConvergenceEngine::shard_of(AsNumber asn) const {
 }
 
 bool ConvergenceEngine::idle() const noexcept {
-  for (const auto& queue : queues_) {
-    if (!queue->empty()) return false;
+  // The engine cancels no event, so every queued entry is live.
+  for (const auto& shard : shards_) {
+    if (shard->queue.size() != 0) return false;
   }
   return true;
 }
@@ -113,12 +114,12 @@ void ConvergenceEngine::schedule(AsNumber asn, sim::SimDuration delay,
   const std::size_t dst = shard_of(asn);
   const bool in_run = tl_active.engine == this;
   const std::size_t src = in_run ? tl_active.shard : dst;
-  const sim::SimTime cause = in_run ? queues_[src]->now() : now_;
+  const sim::SimTime cause = in_run ? shards_[src]->now : now_;
   const sim::EventKey key{cause.ns(), tag};
   if (!in_run || src == dst) {
     // Quiescent engine (single caller) or the shard's own queue: insert
     // directly.
-    queues_[dst]->schedule(cause + delay, key, std::move(action));
+    insert(dst, cause + delay, key, std::move(action));
     return;
   }
   if (delay < epoch_) {
@@ -128,11 +129,30 @@ void ConvergenceEngine::schedule(AsNumber asn, sim::SimDuration delay,
   outbox_[src].push_back(Mail{dst, cause + delay, key, std::move(action)});
 }
 
+void ConvergenceEngine::insert(std::size_t dst, sim::SimTime at,
+                               sim::EventKey key, sim::EventAction action) {
+  Shard& shard = *shards_[dst];
+  if (at < shard.now) {
+    throw std::invalid_argument("ConvergenceEngine: event time in the past");
+  }
+  shard.queue.schedule(at, key, std::move(action));
+}
+
 std::uint64_t ConvergenceEngine::run_shard_window(std::size_t s,
                                                   sim::SimTime end,
                                                   std::uint64_t cap) {
   ActiveShardScope scope(this, s);
-  return queues_[s]->run_window(end, cap);
+  Shard& shard = *shards_[s];
+  std::uint64_t fired = 0;
+  while ((cap == 0 || fired < cap) && !shard.queue.empty() &&
+         shard.queue.next_time() < end) {
+    Queue::Fired event;
+    shard.queue.pop(event);
+    shard.now = event.time;
+    event.action();
+    ++fired;
+  }
+  return fired;
 }
 
 std::uint64_t ConvergenceEngine::remaining_cap(
@@ -159,20 +179,20 @@ void ConvergenceEngine::advance(sim::SimDuration by) {
         "first)");
   }
   now_ = now_ + by;
-  for (const auto& queue : queues_) queue->set_now(now_);
+  for (const auto& shard : shards_) shard->now = now_;
 }
 
 sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
   const std::uint64_t processed_at_entry = processed_;
-  if (queues_.size() == 1) {
-    sim::ShardQueue& queue = *queues_[0];
-    while (!queue.empty()) {
+  if (shards_.size() == 1) {
+    Shard& shard = *shards_[0];
+    while (!shard.queue.empty()) {
       processed_ += run_shard_window(
           0, kEndOfTime, remaining_cap(max_events, processed_at_entry));
       check_budget(max_events, processed_at_entry);
     }
-    now_ = std::max(now_, queue.now());
-    queue.set_now(now_);
+    now_ = std::max(now_, shard.now);
+    shard.now = now_;
     last_run_processed_ = processed_ - processed_at_entry;
     return now_;
   }
@@ -181,9 +201,9 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
   for (;;) {
     bool any = false;
     sim::SimTime next;
-    for (const auto& queue : queues_) {
-      if (queue->empty()) continue;
-      const sim::SimTime t = queue->next_time();
+    for (const auto& shard : shards_) {
+      if (shard->queue.empty()) continue;
+      const sim::SimTime t = shard->queue.next_time();
       if (!any || t < next) next = t;
       any = true;
     }
@@ -195,7 +215,7 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
     // just resumes the same deterministic event order next epoch — fire
     // times don't change, so results are unaffected.
     std::uint64_t cap = remaining_cap(max_events, processed_at_entry);
-    if (cap != 0) cap = cap / queues_.size() + 1;
+    if (cap != 0) cap = cap / shards_.size() + 1;
     run_epoch(next + epoch_, cap);
 
     // The barrier has passed (no worker is still in a window): propagate
@@ -214,7 +234,7 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
     // next window opens.
     for (auto& box : outbox_) {
       for (Mail& mail : box) {
-        queues_[mail.dst]->schedule(mail.at, mail.key, std::move(mail.action));
+        insert(mail.dst, mail.at, mail.key, std::move(mail.action));
       }
       box.clear();
     }
@@ -223,23 +243,23 @@ sim::SimTime ConvergenceEngine::run(std::uint64_t max_events) {
   }
 
   sim::SimTime global = now_;
-  for (const auto& queue : queues_) global = std::max(global, queue->now());
+  for (const auto& shard : shards_) global = std::max(global, shard->now);
   now_ = global;
-  for (const auto& queue : queues_) queue->set_now(global);
+  for (const auto& shard : shards_) shard->now = global;
   last_run_processed_ = processed_ - processed_at_entry;
   return now_;
 }
 
 void ConvergenceEngine::run_epoch(sim::SimTime end, std::uint64_t cap) {
   // The window's worklist: shards that actually hold an event before `end`.
-  // Running an idle shard was always a no-op (run_window pops nothing), so
+  // Running an idle shard was always a no-op (its window fires nothing), so
   // skipping it is byte-identical — but an incremental delta (one flap)
   // touches only a couple of shards per window, and waking the worker pool
   // for the idle rest would spend a mutex round-trip per epoch on nothing.
   active_.clear();
-  for (std::size_t s = 0; s < queues_.size(); ++s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     fired_[s] = 0;
-    if (!queues_[s]->empty() && queues_[s]->next_time() < end) {
+    if (!shards_[s]->queue.empty() && shards_[s]->queue.next_time() < end) {
       active_.push_back(s);
     }
   }
@@ -261,7 +281,7 @@ void ConvergenceEngine::run_epoch(sim::SimTime end, std::uint64_t cap) {
   // The caller is worker 0.  Capture instead of throwing: the barrier
   // must complete before anything unwinds, or the pool would still be
   // firing events while the caller's state is being torn down.
-  for (std::size_t s = 0; s < queues_.size(); s += workers_) {
+  for (std::size_t s = 0; s < shards_.size(); s += workers_) {
     try {
       fired_[s] = run_shard_window(s, end, cap);
     } catch (...) {
@@ -293,7 +313,7 @@ void ConvergenceEngine::worker_loop(std::size_t w) {
       end = window_end_;
       cap = window_cap_;
     }
-    for (std::size_t s = w; s < queues_.size(); s += workers_) {
+    for (std::size_t s = w; s < shards_.size(); s += workers_) {
       try {
         fired_[s] = run_shard_window(s, end, cap);
       } catch (...) {

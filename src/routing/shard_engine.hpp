@@ -4,7 +4,8 @@
 // single-threaded event queue made that the wall-clock bottleneck of the F
 // benches.  This engine partitions the AS graph into K shards — tier-1 and
 // transit ASes pinned round-robin by tier index, stubs hashed by ASN — and
-// gives each shard its own sim::ShardQueue.  Shards advance through
+// gives each shard its own keyed event queue
+// (sim::BasicEventQueue<sim::EventKey>) and clock.  Shards advance through
 // barrier-synchronised epochs of length `epoch` (the engine's lookahead,
 // the minimum cross-shard message delay): within a window [T, T+epoch) a
 // shard fires only its local events, and anything it schedules for another
@@ -15,8 +16,9 @@
 // **Determinism.**  Results are byte-identical for every shard count and
 // worker count, because event ordering never depends on execution:
 //
-//   * ShardQueue orders same-instant events by (cause time, content tag),
-//     both pure simulation facts, not by insertion sequence;
+//   * a shard's queue orders same-instant events by the sim::EventKey
+//     (cause time, content tag), both pure simulation facts, not by
+//     insertion sequence;
 //   * an event's handler touches only its owner's state, so the relative
 //     order of same-instant events at *different* owners is immaterial;
 //   * two distinct simultaneous events at the same owner always differ in
@@ -46,7 +48,7 @@
 
 #include "core/flat_map.hpp"
 #include "routing/as_graph.hpp"
-#include "sim/shard_queue.hpp"
+#include "sim/event_queue.hpp"
 
 namespace lispcp::routing {
 
@@ -61,7 +63,7 @@ struct ShardEngineConfig {
   std::size_t workers = 0;
 };
 
-/// K deterministic shard queues plus the epoch-barrier run loop.
+/// K deterministic shards plus the epoch-barrier run loop.
 class ConvergenceEngine {
  public:
   ConvergenceEngine(const AsGraph& graph, ShardEngineConfig config);
@@ -71,7 +73,7 @@ class ConvergenceEngine {
   ConvergenceEngine& operator=(const ConvergenceEngine&) = delete;
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
-    return queues_.size();
+    return shards_.size();
   }
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers_; }
   /// Home shard of `asn`; throws std::out_of_range if absent.
@@ -138,6 +140,14 @@ class ConvergenceEngine {
   }
 
  private:
+  using Queue = sim::BasicEventQueue<sim::EventKey>;
+  /// One partition: its queue, ordered by (fire time, EventKey, insertion
+  /// seq), and its clock — the fire time of the last event it ran, aligned
+  /// to the global clock between runs.
+  struct Shard {
+    Queue queue;
+    sim::SimTime now;
+  };
   struct Mail {
     std::size_t dst;
     sim::SimTime at;
@@ -145,7 +155,14 @@ class ConvergenceEngine {
     sim::EventAction action;
   };
 
-  /// Fires shard `s`'s window with the thread-local caller context set.
+  /// Queues an event on shard `dst`; throws std::invalid_argument if `at`
+  /// is before that shard's clock.
+  void insert(std::size_t dst, sim::SimTime at, sim::EventKey key,
+              sim::EventAction action);
+  /// Fires every event of shard `s` before `end` (including ones the window
+  /// itself schedules before `end`) with the thread-local caller context
+  /// set, stopping early once `cap` have fired (0 = unlimited); returns the
+  /// number fired.
   std::uint64_t run_shard_window(std::size_t s, sim::SimTime end,
                                  std::uint64_t cap);
   /// One barrier-synchronised window across all shards.
@@ -164,7 +181,7 @@ class ConvergenceEngine {
   sim::SimTime now_;
   std::uint64_t processed_ = 0;
   std::uint64_t last_run_processed_ = 0;
-  std::vector<std::unique_ptr<sim::ShardQueue>> queues_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   /// ASN -> home shard (open-addressing: shard_of sits on every schedule()).
   core::FlatMap<std::uint32_t, std::uint32_t> home_;
   /// Per-source-shard mailboxes: written only by the worker driving the

@@ -268,19 +268,6 @@ Axis Axis::reals(std::string name, std::vector<double> values,
   return Axis(std::move(name), std::move(points));
 }
 
-Axis Axis::durations_ms(
-    std::string name, std::vector<sim::SimDuration> values,
-    std::function<void(ExperimentConfig&, sim::SimDuration)> fn) {
-  std::vector<Point> points;
-  points.reserve(values.size());
-  for (const auto v : values) {
-    points.push_back(Point{metrics::Table::num(v.ms(), 1),
-                           Field::real(v.ms(), 1),
-                           [fn, v](ExperimentConfig& config) { fn(config, v); }});
-  }
-  return Axis(std::move(name), std::move(points));
-}
-
 Axis Axis::labeled(
     std::string name,
     std::vector<std::pair<std::string, std::function<void(ExperimentConfig&)>>>
@@ -380,23 +367,7 @@ SweepSpec& SweepSpec::base(const std::function<void(ExperimentConfig&)>& fn) {
 
 SweepSpec& SweepSpec::axis(Axis a) {
   require_fresh_name(a.name());
-  groups_.push_back(AxisGroup{{std::move(a)}});
-  return *this;
-}
-
-SweepSpec& SweepSpec::zip(Axis a) {
-  if (groups_.empty()) {
-    throw std::logic_error("SweepSpec::zip: no axis to zip with");
-  }
-  require_fresh_name(a.name());
-  auto& group = groups_.back();
-  if (a.points().size() != group.size()) {
-    throw std::invalid_argument("SweepSpec::zip: axis '" + a.name() + "' has " +
-                                std::to_string(a.points().size()) +
-                                " points, expected " +
-                                std::to_string(group.size()));
-  }
-  group.axes.push_back(std::move(a));
+  axes_.push_back(std::move(a));
   return *this;
 }
 
@@ -404,12 +375,10 @@ void SweepSpec::require_fresh_name(const std::string& name) const {
   // Axis names key record coordinates (Record::set overwrites by name) and
   // feed the per-point stream-id hash; a duplicate would silently drop the
   // first axis's coordinate and can collide derived seeds.
-  for (const auto& group : groups_) {
-    for (const auto& existing : group.axes) {
-      if (existing.name() == name) {
-        throw std::invalid_argument("SweepSpec: duplicate axis name '" + name +
-                                    "'");
-      }
+  for (const auto& existing : axes_) {
+    if (existing.name() == name) {
+      throw std::invalid_argument("SweepSpec: duplicate axis name '" + name +
+                                  "'");
     }
   }
 }
@@ -434,35 +403,32 @@ SweepSpec& SweepSpec::replications(std::size_t n) {
 
 std::vector<RunPoint> SweepSpec::expand() const {
   std::size_t total = 1;
-  for (const auto& group : groups_) total *= group.size();
+  for (const auto& axis : axes_) total *= axis.points().size();
   // The replica coordinate would shadow (and its stream id collide with) an
   // axis of the same name.
   if (replications_ > 1) require_fresh_name("replica");
 
   std::vector<RunPoint> points;
   points.reserve(total * replications_);
-  std::size_t axis_count = replications_ > 1 ? 1 : 0;
-  for (const auto& group : groups_) axis_count += group.axes.size();
-  std::vector<std::size_t> radix(groups_.size(), 0);
+  const std::size_t axis_count = axes_.size() + (replications_ > 1 ? 1 : 0);
+  std::vector<std::size_t> radix(axes_.size(), 0);
   for (std::size_t index = 0; index < total; ++index) {
     RunPoint point;
     point.coordinates.reserve(axis_count);
     point.group = index;
     point.config = base_;
     std::uint64_t stream_id = 0;
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      for (const auto& axis : groups_[g].axes) {
-        const auto& axis_point = axis.points()[radix[g]];
-        axis_point.apply(point.config);
-        point.coordinates.emplace_back(axis.name(), axis_point.value);
-        if (!point.series.empty()) point.series += " / ";
-        point.series += axis_point.label;
-        // Order-independent combine (XOR of per-coordinate hashes): the
-        // stream id is a function of the coordinate *set*, so reordering
-        // axes never changes a point's seed.
-        stream_id ^= sim::Rng::splitmix64(fnv1a(axis.name()) ^
-                                          sim::Rng::splitmix64(fnv1a(axis_point.label)));
-      }
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      const auto& axis_point = axes_[a].points()[radix[a]];
+      axis_point.apply(point.config);
+      point.coordinates.emplace_back(axes_[a].name(), axis_point.value);
+      if (!point.series.empty()) point.series += " / ";
+      point.series += axis_point.label;
+      // Order-independent combine (XOR of per-coordinate hashes): the
+      // stream id is a function of the coordinate *set*, so reordering
+      // axes never changes a point's seed.
+      stream_id ^= sim::Rng::splitmix64(fnv1a(axes_[a].name()) ^
+                                        sim::Rng::splitmix64(fnv1a(axis_point.label)));
     }
     for (const auto& fn : tweaks_) fn(point.config);
     if (seed_mode_ == SeedMode::kPerPoint) {
@@ -496,11 +462,11 @@ std::vector<RunPoint> SweepSpec::expand() const {
       }
       points.push_back(std::move(replica));
     }
-    // Advance the mixed-radix counter, last group fastest (so the first
+    // Advance the mixed-radix counter, last axis fastest (so the first
     // axis is the outermost loop, matching the old hand-written nesting).
-    for (std::size_t g = groups_.size(); g-- > 0;) {
-      if (++radix[g] < groups_[g].size()) break;
-      radix[g] = 0;
+    for (std::size_t a = axes_.size(); a-- > 0;) {
+      if (++radix[a] < axes_[a].points().size()) break;
+      radix[a] = 0;
     }
   }
   return points;

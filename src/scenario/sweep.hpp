@@ -5,9 +5,8 @@
 // hand-rolling a serial for-loop over copied ExperimentConfigs, a bench
 // declares the parameter space once and hands it to a runner:
 //
-//   SweepSpec   — a base ExperimentConfig plus named axes.  Axes compose by
-//                 cross-product (`axis`) or advance together (`zip`); the
-//                 spec expands into an ordered vector of RunPoints with
+//   SweepSpec   — a base ExperimentConfig plus cross-product axes,
+//                 expanded into an ordered vector of RunPoints with
 //                 deterministic per-point seeds (sim::Rng::derive keyed by
 //                 the point's axis coordinates — invariant under axis
 //                 reordering and under the runner's thread count).
@@ -158,10 +157,6 @@ class Axis {
   static Axis reals(std::string name, std::vector<double> values,
                     std::function<void(ExperimentConfig&, double)> fn,
                     int precision = 2);
-  /// Duration-valued axis, recorded in milliseconds.
-  static Axis durations_ms(
-      std::string name, std::vector<sim::SimDuration> values,
-      std::function<void(ExperimentConfig&, sim::SimDuration)> fn);
   /// Catch-all labelled axis (ablation toggles, policies, cold/warm...).
   static Axis labeled(
       std::string name,
@@ -249,9 +244,6 @@ class SweepSpec {
   /// Adds a cross-product axis.  The first axis varies slowest (outermost
   /// loop of the equivalent nested for-loops).
   SweepSpec& axis(Axis a);
-  /// Zips an axis with the previously added one (must have the same number
-  /// of points); the pair advances together instead of multiplying.
-  SweepSpec& zip(Axis a);
   /// Per-point adjustment applied after all axis mutations (e.g. a miss
   /// policy that depends on the control plane the axis just selected).
   SweepSpec& tweak(std::function<void(ExperimentConfig&)> fn);
@@ -275,18 +267,12 @@ class SweepSpec {
   [[nodiscard]] std::vector<RunPoint> expand() const;
 
  private:
-  /// A group of axes advancing in lockstep (axis + its zipped partners).
-  struct AxisGroup {
-    std::vector<Axis> axes;
-    [[nodiscard]] std::size_t size() const { return axes.front().points().size(); }
-  };
-
   /// Throws if an axis named `name` was already added.
   void require_fresh_name(const std::string& name) const;
 
   std::string name_ = "sweep";
   ExperimentConfig base_;
-  std::vector<AxisGroup> groups_;
+  std::vector<Axis> axes_;
   std::vector<std::function<void(ExperimentConfig&)>> tweaks_;
   SeedMode seed_mode_ = SeedMode::kShared;
   std::size_t replications_ = 1;

@@ -1,15 +1,19 @@
-// event_queue.hpp — the discrete-event scheduler core.
+// event_queue.hpp — the discrete-event scheduler core of both simulators.
 //
-// A binary-heap priority queue of (time, sequence) ordered events.  The
-// sequence number breaks ties FIFO, which makes simulations fully
-// deterministic: two events scheduled for the same instant always fire in
-// scheduling order.  Cancellation is O(1) via a tombstone flag; cancelled
-// entries are discarded lazily when popped.
+// A binary-heap priority queue of events ordered by (fire time, tie-break
+// key, insertion seq), which makes every run deterministic.  The packet
+// simulation's sim::EventQueue has no key, so same-instant events fire in
+// scheduling order.  The sharded BGP engine (routing/shard_engine.hpp)
+// keys each event by an EventKey, a pure function of simulation facts: its
+// order then does not depend on how the work is split across K shard
+// queues, as an insertion sequence would.  Cancellation is O(1) via a
+// tombstone flag; cancelled entries are discarded lazily when popped.
 //
 // Storage: event records live in a slab pool (core/arena.hpp) owned by the
 // queue, not in one shared_ptr allocation per event — scheduling in steady
 // state allocates nothing (the action's capture is inline in the pooled
-// record, see core/inline_function.hpp).  Handles stay safe across every
+// record, see core/inline_function.hpp), and a heap sift moves only the
+// small (time, key, seq, slot) entry.  Handles stay safe across every
 // destruction order the nodes exercise: an EventHandle names a record by
 // (pool, index, generation); firing or cancelling releases the slot and
 // bumps its generation, so a stale handle to a recycled slot can never
@@ -17,9 +21,12 @@
 // finds the pool gone.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -32,10 +39,29 @@ namespace lispcp::sim {
 /// pooled record itself (larger ones fall back to one heap allocation).
 using EventAction = core::InlineFunction<void(), 88>;
 
+/// The tie-break key of sim::EventQueue: empty, so same-instant events fire
+/// in insertion order.
+struct NoKey {
+  friend constexpr auto operator<=>(const NoKey&, const NoKey&) noexcept =
+      default;
+};
+
+/// The execution-independent tie-break key of the sharded BGP engine.
+struct EventKey {
+  /// Virtual time the event was scheduled at (its cause's fire time).
+  std::int64_t cause_ns = 0;
+  /// Content tag naming the event (kind bit + endpoint ids); see
+  /// routing::ConvergenceEngine for the BGP encoding.
+  std::uint64_t tag = 0;
+
+  friend constexpr auto operator<=>(const EventKey&,
+                                    const EventKey&) noexcept = default;
+};
+
 namespace detail {
 
-/// The pooled record store behind one EventQueue, shared (via weak_ptr)
-/// with the handles it issued.
+/// The pooled record store behind one queue, shared (via weak_ptr) with the
+/// handles it issued.
 struct EventRecordPool {
   struct Record {
     EventAction action;
@@ -90,7 +116,8 @@ class EventHandle {
   }
 
  private:
-  friend class EventQueue;
+  template <typename Key>
+  friend class BasicEventQueue;
   EventHandle(std::weak_ptr<detail::EventRecordPool> pool, std::uint32_t index,
               std::uint32_t generation)
       : pool_(std::move(pool)), index_(index), generation_(generation) {}
@@ -100,16 +127,35 @@ class EventHandle {
   std::uint32_t generation_ = 0;
 };
 
-/// Time-ordered event queue.  Not thread-safe: the whole simulation is
-/// single-threaded by design (see DESIGN.md, determinism).
-class EventQueue {
+/// Time-ordered event queue, same-instant ties broken by `Key` and then by
+/// insertion order.  Not thread-safe: one thread drives a queue at a time
+/// (see DESIGN.md, determinism).
+template <typename Key>
+class BasicEventQueue {
  public:
   /// Enqueues `action` to fire at absolute time `at`.  A *daemon* event
   /// (periodic background maintenance: IRC refresh, RLOC probe cycles, NERD
   /// push timers) fires in time order like any other, but does not keep the
   /// simulation alive: Simulator::run() drains the queue only while
   /// foreground work remains.
-  EventHandle schedule(SimTime at, EventAction action, bool daemon = false);
+  EventHandle schedule(SimTime at, Key key, EventAction action,
+                       bool daemon = false) {
+    const std::uint32_t index = pool_->records.allocate();
+    auto& record = pool_->records[index];
+    record.action = std::move(action);
+    record.cancelled = false;
+    record.daemon = daemon;
+    if (!daemon) ++pool_->foreground_live;
+    heap_.push(Entry{at, key, seq_++, index});
+    return EventHandle(pool_, index, pool_->records.generation(index));
+  }
+
+  /// The key-less form: ties fire in insertion order.
+  EventHandle schedule(SimTime at, EventAction action, bool daemon = false)
+    requires std::is_empty_v<Key>
+  {
+    return schedule(at, Key{}, std::move(action), daemon);
+  }
 
   /// Removes and returns the next live event, skipping tombstones.
   /// Returns false when the queue is empty (of live events).
@@ -118,13 +164,37 @@ class EventQueue {
     EventAction action;
     bool daemon = false;
   };
-  bool pop(Fired& out);
+  bool pop(Fired& out) {
+    prune();
+    if (heap_.empty()) return false;
+    const Entry entry = heap_.top();
+    heap_.pop();
+    auto& record = pool_->records[entry.index];
+    out.time = entry.time;
+    out.action = std::move(record.action);
+    out.daemon = record.daemon;
+    record.action.reset();
+    if (!record.daemon) --pool_->foreground_live;
+    // Releasing bumps the generation, so handles to the fired event report
+    // !pending() and cancel() returns false.
+    pool_->records.release(entry.index);
+    return true;
+  }
 
-  /// Time of the next live event without popping it; meaningful only when
-  /// !empty().
-  [[nodiscard]] SimTime next_time();
+  /// Time of the next live event without popping it; throws
+  /// std::logic_error when the queue is empty.
+  [[nodiscard]] SimTime next_time() {
+    prune();
+    if (heap_.empty()) {
+      throw std::logic_error("EventQueue::next_time on empty queue");
+    }
+    return heap_.top().time;
+  }
 
-  [[nodiscard]] bool empty();
+  [[nodiscard]] bool empty() {
+    prune();
+    return heap_.empty();
+  }
 
   /// True while at least one live non-daemon event is queued.  Exact (not
   /// lazy): cancellation adjusts the count immediately.
@@ -136,28 +206,42 @@ class EventQueue {
   /// have not yet bubbled to the front are still counted (lazy deletion).
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Total events ever scheduled, for stats.
-  [[nodiscard]] std::uint64_t scheduled_total() const noexcept { return seq_; }
-
  private:
   struct Entry {
     SimTime time;
+    [[no_unique_address]] Key key;
     std::uint64_t seq;
     std::uint32_t index;  ///< record slot in the pool
   };
+  // The packet simulation's hot heap: an empty key must cost no entry bytes.
+  static_assert(!std::is_empty_v<Key> || sizeof(Entry) == 24);
+
+  /// Min-heap order over (time, key, seq).
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+      if (a.time != b.time) return a.time > b.time;
+      if (a.key != b.key) return a.key > b.key;
+      return a.seq > b.seq;
     }
   };
 
-  /// Drops cancelled entries from the front so top() is live.
-  void prune();
+  /// Drops cancelled entries from the front so top() is live.  They already
+  /// gave back their foreground count in EventHandle::cancel(); here they
+  /// are only physically discarded and their slots returned to the pool.
+  void prune() {
+    while (!heap_.empty() && pool_->records[heap_.top().index].cancelled) {
+      pool_->records.release(heap_.top().index);
+      heap_.pop();
+    }
+  }
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::shared_ptr<detail::EventRecordPool> pool_ =
       std::make_shared<detail::EventRecordPool>();
   std::uint64_t seq_ = 0;
 };
+
+/// The packet simulation's queue: same-instant ties fire FIFO.
+using EventQueue = BasicEventQueue<NoKey>;
 
 }  // namespace lispcp::sim

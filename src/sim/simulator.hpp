@@ -55,14 +55,17 @@ class Simulator {
 
   /// Runs until all *foreground* work drains; pending daemon events are left
   /// queued (the simulation can be resumed).  `max_events` guards against
-  /// accidental infinite event chains (0 = unlimited).
+  /// accidental infinite event chains (0 = unlimited): it bounds the events
+  /// this call fires, and throws std::runtime_error once the call has fired
+  /// that many.  Events of earlier runs do not count.
   void run(std::uint64_t max_events = 0) {
     EventQueue::Fired fired;
+    const std::uint64_t processed_at_entry = processed_;
     while (queue_.has_foreground() && queue_.pop(fired)) {
       now_ = fired.time;
       fired.action();
       ++processed_;
-      if (max_events != 0 && processed_ >= max_events) {
+      if (max_events != 0 && processed_ - processed_at_entry >= max_events) {
         throw std::runtime_error("Simulator::run: event budget exhausted");
       }
     }

@@ -11,6 +11,7 @@
 #include "routing/as_graph.hpp"
 #include "routing/bgp.hpp"
 #include "routing/dfz_study.hpp"
+#include "routing/shard_engine.hpp"
 
 namespace lispcp::routing {
 namespace {
@@ -584,6 +585,27 @@ std::string converge_and_fingerprint(const AsGraph& graph, std::size_t shards,
   }
   fabric.run_to_convergence();
   return fingerprint(fabric);
+}
+
+TEST(ShardedBgp, SameInstantEventsFireInTagOrder) {
+  // Three events for one AS at one instant, scheduled against tag order:
+  // the event key, not insertion order, decides which fires first.
+  Line line;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardEngineConfig config;
+    config.shards = shards;
+    config.epoch = sim::SimDuration::millis(1);
+    config.workers = 1;
+    ConvergenceEngine engine(line.graph, config);
+    std::vector<std::uint64_t> order;
+    for (const std::uint64_t tag : {5, 3, 4}) {
+      engine.schedule(AsNumber{1}, sim::SimDuration::millis(10), tag,
+                      [&order, tag] { order.push_back(tag); });
+    }
+    engine.run();
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 4, 5}));
+  }
 }
 
 TEST(ShardedBgp, ResultsAreShardCountInvariant) {

@@ -2,6 +2,8 @@
 // cancellation, run_until semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -167,6 +169,65 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
 TEST(EventQueue, NextTimeOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW((void)q.next_time(), std::logic_error);
+}
+
+TEST(EventQueue, KeyedTiesFireInKeyThenInsertionOrder) {
+  using KeyedQueue = BasicEventQueue<EventKey>;
+  // Same-instant events fire by key (cause time, then tag) whatever order
+  // they were scheduled in; the two equal keys fire in scheduling order.
+  const std::vector<EventKey> keys{{0, 7}, {1, 5}, {1, 5}, {1, 2}, {2, 0}};
+  std::vector<std::size_t> insertion{0, 1, 2, 3, 4};
+  do {
+    KeyedQueue q;
+    std::vector<std::size_t> order;
+    for (const std::size_t k : insertion) {
+      q.schedule(SimTime::from_ns(50), keys[k],
+                 [&order, k] { order.push_back(k); });
+    }
+    std::vector<std::size_t> expected = insertion;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    KeyedQueue::Fired fired;
+    while (q.pop(fired)) fired.action();
+    EXPECT_EQ(order, expected);
+  } while (std::next_permutation(insertion.begin(), insertion.end()));
+
+  // Cancelling a keyed event gives back its foreground count at once, while
+  // its tombstone and a daemon stay queued.
+  KeyedQueue q;
+  auto first = q.schedule(SimTime::from_ns(60), EventKey{0, 2}, [] {});
+  auto second = q.schedule(SimTime::from_ns(60), EventKey{0, 1}, [] {});
+  q.schedule(SimTime::from_ns(70), EventKey{0, 0}, [] {}, /*daemon=*/true);
+  EXPECT_TRUE(first.cancel());
+  EXPECT_TRUE(q.has_foreground()) << "the second event is still pending";
+  EXPECT_TRUE(second.cancel());
+  EXPECT_FALSE(q.has_foreground());
+  EXPECT_EQ(q.size(), 3u);
+  KeyedQueue::Fired fired;
+  ASSERT_TRUE(q.pop(fired));
+  EXPECT_TRUE(fired.daemon);
+  EXPECT_FALSE(q.pop(fired));
+}
+
+TEST(Simulator, EventBudgetCountsEachRunAlone) {
+  Simulator sim;
+  for (int i = 0; i < 2000; ++i) sim.schedule(SimDuration::millis(1), [] {});
+  sim.run_until(SimTime::zero() + SimDuration::millis(1));
+  ASSERT_EQ(sim.events_processed(), 2000u);
+
+  // Earlier work does not count against a later run's budget.
+  bool fired = false;
+  sim.schedule(SimDuration::millis(1), [&] { fired = true; });
+  EXPECT_NO_THROW(sim.run(1000));
+  EXPECT_TRUE(fired);
+
+  // A runaway chain started after it still exhausts the budget.
+  std::function<void()> chain = [&] {
+    sim.schedule(SimDuration::millis(1), chain);
+  };
+  sim.schedule(SimDuration::millis(1), chain);
+  EXPECT_THROW(sim.run(1000), std::runtime_error);
+  EXPECT_EQ(sim.events_processed(), 3001u);
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {

@@ -75,24 +75,6 @@ TEST(SweepSpec, CrossProductOrderFirstAxisSlowest) {
   EXPECT_EQ(points[0].config.spec.miss_policy, lisp::MissPolicy::kDrop);
 }
 
-TEST(SweepSpec, ZipAdvancesAxesTogether) {
-  auto spec = SweepSpec::steady_state();
-  spec.axis(Axis::integers("cache", {2, 4, 8},
-                           [](ExperimentConfig& c, std::uint64_t v) {
-                             c.spec.cache_capacity = v;
-                           }))
-      .zip(Axis::integers("ttl", {10, 20, 30},
-                          [](ExperimentConfig& c, std::uint64_t v) {
-                            c.spec.mapping_ttl_seconds =
-                                static_cast<std::uint32_t>(v);
-                          }));
-  const auto points = spec.expand();
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[1].config.spec.cache_capacity, 4u);
-  EXPECT_EQ(points[1].config.spec.mapping_ttl_seconds, 20u);
-  EXPECT_EQ(points[1].series, "4 / 20");
-}
-
 TEST(Axis, DuplicateLabelsThrow) {
   // 0.61 and 0.64 both render "0.6" at precision 1; pivot/table rows would
   // silently merge, so the axis refuses the spec.
@@ -129,18 +111,6 @@ TEST(SweepSpec, DuplicateAxisNamesThrow) {
                            [](ExperimentConfig&, std::uint64_t) {}));
   EXPECT_THROW(spec.axis(Axis::integers("cache", {16, 32},
                                         [](ExperimentConfig&, std::uint64_t) {})),
-               std::invalid_argument);
-  EXPECT_THROW(spec.zip(Axis::integers("cache", {1, 2},
-                                       [](ExperimentConfig&, std::uint64_t) {})),
-               std::invalid_argument);
-}
-
-TEST(SweepSpec, ZipArityMismatchThrows) {
-  auto spec = SweepSpec::steady_state();
-  spec.axis(Axis::integers("cache", {2, 4},
-                           [](ExperimentConfig&, std::uint64_t) {}));
-  EXPECT_THROW(spec.zip(Axis::integers("ttl", {1, 2, 3},
-                                       [](ExperimentConfig&, std::uint64_t) {})),
                std::invalid_argument);
 }
 
