@@ -248,8 +248,9 @@ std::vector<Micro> registry() {
     });
   }});
 
-  // The RIB decision scan: per-prefix best-route lookups against a 16k-entry
-  // open-addressing core::FlatMap, the RIB layout.
+  // The prefix-index probe every received update record pays: a lookup in
+  // a 16k-entry open-addressing core::FlatMap keyed by prefix, the layout
+  // of BgpFabric's prefix index.
   {
     constexpr int kRoutes = 16384;
     const auto route_prefix = [](int i) {
@@ -438,9 +439,7 @@ std::vector<Micro> registry() {
     micros.push_back({"flap reconverge/incremental", [study] {
       // Untimed: build and converge the world once.
       const auto graph = routing::shared_synthetic_internet(study.internet);
-      routing::BgpConfig bgp = study.bgp;
-      bgp.expected_prefixes = graph->size();
-      auto fabric = std::make_shared<routing::BgpFabric>(*graph, bgp);
+      auto fabric = std::make_shared<routing::BgpFabric>(*graph, study.bgp);
       std::vector<routing::RouteDelta> originations;
       const auto stubs = graph->ases_of_tier(routing::AsTier::kStub);
       for (routing::AsNumber asn : graph->ases()) {

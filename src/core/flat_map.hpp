@@ -1,11 +1,10 @@
 // flat_map.hpp — open-addressing hash containers with SoA slot storage.
 //
-// The BGP speaker's RIBs were std::map (one node allocation per route,
-// pointer-chasing on every find) purely to get ordered iteration.  But the
-// hot paths — the decision process probing Adj-RIB-In, Loc-RIB installs,
-// pending-delta upserts — only need point lookups; ordering matters at two
-// cold edges (MRAI flush emission and rib_prefixes()), which take an
-// explicit sorted snapshot instead.  These containers provide the hot half:
+// For the point-lookup tables on the hot paths: the BGP fabric's prefix
+// and AS indexes, the shard engine's home map, the map-cache's prefix and
+// RLOC indexes, and the aggregate engine's per-destination state.  None
+// of them needs ordered iteration on the hot path; where order matters,
+// callers take an explicit sorted snapshot.  The containers are
 // linear-probing open addressing over parallel key/value/state arrays
 // (structure-of-arrays: a probe run touches only the key array), power-of-
 // two capacity, tombstone deletion with same-size rehash when tombstones

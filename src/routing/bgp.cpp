@@ -40,18 +40,12 @@ std::vector<policy::Community>& community_scratch() {
 }  // namespace
 
 BgpSpeaker::BgpSpeaker(BgpFabric& fabric, AsNumber asn)
-    : fabric_(fabric), asn_(asn) {
-  // A known converged table size lets every RIB jump straight to its final
-  // capacity instead of rehashing through the origination storm.
-  loc_rib_.reserve(fabric_.config().expected_prefixes);
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  neighbor_pos_.reserve(neighbors.size());
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    neighbor_pos_.insert_or_assign(neighbors[pos].asn, pos);
+    : fabric_(fabric), asn_(asn), neighbors_(fabric.graph().neighbors(asn)) {
+  neighbor_pos_.reserve(neighbors_.size());
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
+    neighbor_pos_.insert_or_assign(neighbors_[pos].asn, pos);
   }
-  adj_in_.resize(neighbors.size());
-  outbound_.resize(neighbors.size());
+  outbound_.resize(neighbors_.size());
   rebuild_export_groups();
 }
 
@@ -66,12 +60,10 @@ std::uint32_t BgpSpeaker::neighbor_position(AsNumber neighbor) const {
 
 void BgpSpeaker::rebuild_export_groups() {
   export_groups_.clear();
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
+  for (std::uint32_t pos = 0; pos < neighbors_.size(); ++pos) {
     const policy::SessionPolicy* session =
-        fabric_.session_policy(asn_, neighbors[pos].asn);
-    const NeighborKind kind = neighbors[pos].kind;
+        fabric_.session_policy(asn_, neighbors_[pos].asn);
+    const NeighborKind kind = neighbors_[pos].kind;
     const policy::RouteMap* map =
         session == nullptr ? nullptr : session->export_map;
     const bool valley_free = session == nullptr ? true : session->valley_free;
@@ -91,53 +83,56 @@ void BgpSpeaker::rebuild_export_groups() {
   }
 }
 
-BgpSpeaker::AdjIn& BgpSpeaker::adj_in(std::uint32_t pos) {
-  AdjIn& adj = adj_in_[pos];
-  if (!adj.sized) {
-    adj.sized = true;
-    if (fabric_.config().expected_prefixes > 0 &&
-        fabric_.graph().neighbors(asn_)[pos].kind != NeighborKind::kCustomer) {
-      // Peer/provider sessions carry (close to) the full table; customer
-      // sessions only their cone — reserving those would waste the memory.
-      adj.routes.reserve(fabric_.config().expected_prefixes);
-    }
-  }
-  return adj;
+void BgpSpeaker::cover(std::uint32_t id) {
+  if (id < loc_rib_.size()) return;
+  const std::size_t rows = fabric_.prefix_count();
+  const std::size_t cells = rows * neighbors_.size();
+  loc_rib_.resize(rows);
+  origins_.resize(rows);
+  adj_in_.resize(cells);
+  advertised_.resize(cells);
+  pending_slot_.resize(cells);
 }
 
-BgpSpeaker::Outbound& BgpSpeaker::outbound(std::uint32_t pos) {
-  Outbound& out = outbound_[pos];
-  if (!out.sized) {
-    out.sized = true;
-    if (fabric_.config().expected_prefixes > 0 &&
-        fabric_.graph().neighbors(asn_)[pos].kind == NeighborKind::kCustomer) {
-      // Customers get the full table, so the Adj-RIB-Out ledger fills up.
-      out.advertised.reserve(fabric_.config().expected_prefixes);
-    }
-  }
-  return out;
+bool BgpSpeaker::drop_adj_in(std::uint32_t id, std::uint32_t pos) {
+  if (id >= loc_rib_.size()) return false;
+  AttrRef& cell = adj_in_[id * neighbors_.size() + pos];
+  if (!cell) return false;
+  cell.reset();
+  return true;
 }
 
-void BgpSpeaker::originate(const net::Ipv4Prefix& prefix) {
-  origins_.insert(prefix);
-  decide(prefix);
+void BgpSpeaker::originate(std::uint32_t id) {
+  cover(id);
+  origins_[id] = true;
+  decide(id);
 }
 
-void BgpSpeaker::withdraw_origin(const net::Ipv4Prefix& prefix) {
-  if (origins_.erase(prefix) == 0) return;
-  decide(prefix);
+void BgpSpeaker::withdraw_origin(std::uint32_t id) {
+  if (id >= origins_.size() || !origins_[id]) return;
+  origins_[id] = false;
+  decide(id);
 }
 
 void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
   ++stats_.updates_received;
-  AdjIn& adj = adj_in(neighbor_position(from));
+  const std::uint32_t pos = neighbor_position(from);
   for (const net::Ipv4Prefix& prefix : message.withdraws) {
-    if (adj.routes.erase(prefix) > 0) decide(prefix);
+    const std::uint32_t* id = fabric_.find_prefix(prefix);
+    if (id != nullptr && drop_adj_in(*id, pos)) decide(*id);
   }
   const policy::SessionPolicy* session = fabric_.session_policy(asn_, from);
   const policy::RouteMap* import =
       session == nullptr ? nullptr : session->import;
   for (const RouteAdvert& advert : message.announces) {
+    const std::uint32_t* known = fabric_.find_prefix(advert.prefix);
+    if (known == nullptr) {
+      throw std::logic_error("BgpFabric: advert for " +
+                             advert.prefix.to_string() +
+                             " not built by make_advert");
+    }
+    const std::uint32_t id = *known;
+    cover(id);
     const std::vector<AsNumber>& path = advert.as_path();
     const bool loops =
         std::find(path.begin(), path.end(), asn_) != path.end();
@@ -145,7 +140,7 @@ void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
       // A looped advert is unusable, and — update semantics — it implicitly
       // replaces whatever this neighbor said before, so the old path goes.
       ++stats_.loops_rejected;
-      if (adj.routes.erase(advert.prefix) > 0) decide(advert.prefix);
+      if (drop_adj_in(id, pos)) decide(id);
       continue;
     }
     AttrRef attrs;
@@ -156,7 +151,7 @@ void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
         // Import-denied: like a loop reject, the advert still implicitly
         // withdraws whatever this neighbor previously offered.
         ++stats_.imports_filtered;
-        if (adj.routes.erase(advert.prefix) > 0) decide(advert.prefix);
+        if (drop_adj_in(id, pos)) decide(id);
         continue;
       }
       if (actions->local_pref == 0 && actions->add_communities.empty() &&
@@ -178,47 +173,56 @@ void BgpSpeaker::handle_update(AsNumber from, const UpdateMessage& message) {
     } else {
       attrs = advert.attrs;
     }
-    adj.routes[advert.prefix] = AdjRoute{std::move(attrs)};
-    decide(advert.prefix);
+    adj_in_[id * neighbors_.size() + pos] = std::move(attrs);
+    decide(id);
   }
 }
 
 const BgpSpeaker::BestRoute* BgpSpeaker::best(
     const net::Ipv4Prefix& prefix) const {
-  return loc_rib_.find(prefix);
+  const std::uint32_t* id = fabric_.find_prefix(prefix);
+  if (id == nullptr || *id >= loc_rib_.size()) return nullptr;
+  const BestRoute& route = loc_rib_[*id];
+  return route.attrs ? &route : nullptr;
 }
 
 std::vector<net::Ipv4Prefix> BgpSpeaker::rib_prefixes() const {
-  return loc_rib_.sorted_keys();
+  std::vector<net::Ipv4Prefix> prefixes;
+  prefixes.reserve(rib_size_);
+  for (std::uint32_t id = 0; id < loc_rib_.size(); ++id) {
+    if (loc_rib_[id].attrs) prefixes.push_back(fabric_.prefix_of(id));
+  }
+  std::sort(prefixes.begin(), prefixes.end());
+  return prefixes;
 }
 
-void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
+void BgpSpeaker::decide(std::uint32_t id) {
   // Gather candidates: local origination plus one per advertising neighbor,
-  // iterated in graph order for determinism.  Candidates borrow the adj
-  // entries' attr refs — no refcount traffic until the winner installs.
+  // scanned along the prefix's Adj-RIB-In row in graph order for
+  // determinism.  Candidates borrow the row's attr refs — no refcount
+  // traffic until the winner installs.
   const AttrRef* win_attrs = nullptr;
   AsNumber win_from;
   NeighborKind win_kind = NeighborKind::kCustomer;
   bool win_origin = false;
   std::uint32_t win_pref = policy::kCustomerLocalPref;
 
-  if (origins_.contains(prefix)) {
+  if (origins_[id]) {
     win_attrs = &fabric_.origin_attrs();
     win_from = asn_;
     win_origin = true;
   }
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
-  for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-    const AdjRoute* route = adj_in_[pos].routes.find(prefix);
-    if (route == nullptr) continue;
+  const std::size_t degree = neighbors_.size();
+  const AttrRef* row = adj_in_.data() + id * degree;
+  for (std::uint32_t pos = 0; pos < degree; ++pos) {
+    const AttrRef& route = row[pos];
+    if (!route) continue;
     // Local origin beats all; then highest local-pref (role defaults
     // reproduce the legacy relationship-preference order), path length,
     // lowest neighbor ASN.
-    const std::uint32_t pref =
-        route->attrs.local_pref() != 0
-            ? route->attrs.local_pref()
-            : policy::role_local_pref(neighbors[pos].kind);
+    const std::uint32_t pref = route.local_pref() != 0
+                                   ? route.local_pref()
+                                   : policy::role_local_pref(neighbors_[pos].kind);
     bool take;
     if (win_attrs == nullptr) {
       take = true;
@@ -226,28 +230,27 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
       take = false;
     } else if (pref != win_pref) {
       take = pref > win_pref;
-    } else if (route->attrs.as_path().size() != win_attrs->as_path().size()) {
-      take = route->attrs.as_path().size() < win_attrs->as_path().size();
+    } else if (route.as_path().size() != win_attrs->as_path().size()) {
+      take = route.as_path().size() < win_attrs->as_path().size();
     } else {
-      take = neighbors[pos].asn < win_from;
+      take = neighbors_[pos].asn < win_from;
     }
     if (take) {
-      win_attrs = &route->attrs;
-      win_from = neighbors[pos].asn;
-      win_kind = neighbors[pos].kind;
+      win_attrs = &route;
+      win_from = neighbors_[pos].asn;
+      win_kind = neighbors_[pos].kind;
       win_pref = pref;
     }
   }
 
-  const BestRoute* installed = loc_rib_.find(prefix);
-  const bool had = installed != nullptr;
+  BestRoute& installed = loc_rib_[id];
+  const bool had = static_cast<bool>(installed.attrs);
   if (win_attrs == nullptr) {
     if (!had) return;
-    loc_rib_.erase(prefix);
+    installed = BestRoute{};
+    --rib_size_;
     ++stats_.best_changes;
-    for (std::uint32_t pos = 0; pos < neighbors.size(); ++pos) {
-      enqueue(pos, neighbors[pos].asn, prefix, std::nullopt);
-    }
+    for (std::uint32_t pos = 0; pos < degree; ++pos) enqueue(pos, id, {});
     return;
   }
   // Interning makes route equality a pointer compare: while the installed
@@ -255,23 +258,22 @@ void BgpSpeaker::decide(const net::Ipv4Prefix& prefix) {
   // same node, so attrs-pointer + provenance equality is exactly the old
   // field-by-field compare (effective local-pref is a pure function of the
   // raw interned pref and the — equal — session role).
-  if (had && installed->local_origin == win_origin &&
-      installed->learned_from == win_from && installed->attrs == *win_attrs) {
+  if (had && installed.local_origin == win_origin &&
+      installed.learned_from == win_from && installed.attrs == *win_attrs) {
     return;
   }
 
-  BestRoute& slot = loc_rib_[prefix];
-  slot.attrs = *win_attrs;
-  slot.learned_from = win_from;
-  slot.neighbor_kind = win_kind;
-  slot.local_origin = win_origin;
-  slot.local_pref = win_pref;
+  if (!had) ++rib_size_;
+  installed.attrs = *win_attrs;
+  installed.learned_from = win_from;
+  installed.neighbor_kind = win_kind;
+  installed.local_origin = win_origin;
+  installed.local_pref = win_pref;
   ++stats_.best_changes;
-  announce_best(prefix, slot);
+  announce_best(id, installed);
 }
 
-void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
-                               const BestRoute& winner,
+void BgpSpeaker::announce_best(std::uint32_t id, const BestRoute& winner,
                                std::optional<AsNumber> only) {
   // The shared first hop — self prepended to the winner's path — is
   // assembled once in scratch; interning turns it into at most one
@@ -282,8 +284,6 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
   path.push_back(asn_);
   path.insert(path.end(), winner.as_path().begin(), winner.as_path().end());
 
-  const std::vector<AsGraph::Neighbor>& neighbors =
-      fabric_.graph().neighbors(asn_);
   for (const ExportGroup& group : export_groups_) {
     // One role-gate + export-map evaluation per group: every member shares
     // (kind, map, valley-free), so the decision is identical for all of
@@ -295,24 +295,24 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
     bool denied = false;
     AttrRef attrs;
     for (const std::uint32_t pos : group.members) {
-      const AsNumber neighbor = neighbors[pos].asn;
+      const AsNumber neighbor = neighbors_[pos].asn;
       if (only.has_value() && neighbor != *only) continue;
       // Split horizon: never echo a route to the session it came from.  A
       // neighbor the new best is not exportable to gets a withdraw instead
       // (it may hold a previously exportable path).
       if (!winner.local_origin && neighbor == winner.learned_from) {
-        enqueue(pos, neighbor, prefix, std::nullopt);
+        enqueue(pos, id, {});
         continue;
       }
       if (!role_ok) {
-        enqueue(pos, neighbor, prefix, std::nullopt);
+        enqueue(pos, id, {});
         continue;
       }
       if (!computed) {
         computed = true;
         if (group.export_map != nullptr) {
-          const auto actions = group.export_map->evaluate(
-              policy::RouteContext{prefix, path, winner.communities()});
+          const auto actions = group.export_map->evaluate(policy::RouteContext{
+              fabric_.prefix_of(id), path, winner.communities()});
           if (!actions.has_value()) {
             denied = true;
           } else if (actions->prepend > 0 ||
@@ -336,20 +336,19 @@ void BgpSpeaker::announce_best(const net::Ipv4Prefix& prefix,
       }
       if (denied) {
         ++stats_.exports_filtered;
-        enqueue(pos, neighbor, prefix, std::nullopt);
+        enqueue(pos, id, {});
         continue;
       }
-      enqueue(pos, neighbor, prefix, RouteAdvert{prefix, attrs});
+      enqueue(pos, id, attrs);
     }
   }
 }
 
 void BgpSpeaker::refresh_exports(std::optional<AsNumber> only) {
-  // Sorted snapshot: refresh order is observable through MRAI batching, so
-  // it must not depend on table layout.
-  for (const net::Ipv4Prefix& prefix : loc_rib_.sorted_keys()) {
-    const BestRoute* installed = loc_rib_.find(prefix);
-    if (installed != nullptr) announce_best(prefix, *installed, only);
+  // Ascending prefix order, like every other walk that feeds the wire.
+  for (const net::Ipv4Prefix& prefix : rib_prefixes()) {
+    const std::uint32_t id = *fabric_.find_prefix(prefix);
+    announce_best(id, loc_rib_[id], only);
   }
 }
 
@@ -358,59 +357,69 @@ bool BgpSpeaker::exportable(const BestRoute& route, NeighborKind to) {
   return route.local_origin || route.neighbor_kind == NeighborKind::kCustomer;
 }
 
-void BgpSpeaker::enqueue(std::uint32_t pos, AsNumber neighbor,
-                         const net::Ipv4Prefix& prefix,
-                         std::optional<RouteAdvert> advert) {
-  Outbound& out = outbound(pos);
-  if (!advert.has_value()) {
-    const std::optional<RouteAdvert>* pending = out.pending.find(prefix);
-    const bool pending_announce = pending != nullptr && pending->has_value();
-    if (pending_announce) {
-      // The announce never left this router: just cancel it.  A withdraw is
-      // still owed if an *earlier* flush advertised the prefix.
-      out.pending.erase(prefix);
+void BgpSpeaker::enqueue(std::uint32_t pos, std::uint32_t id, AttrRef attrs) {
+  const std::size_t cell = id * neighbors_.size() + pos;
+  std::uint32_t& slot = pending_slot_[cell];
+  Outbound& out = outbound_[pos];
+  if (!attrs && !advertised_[cell]) {
+    // The neighbor never heard of the prefix: cancel an announce that never
+    // left this router (the only delta that can be pending), else there is
+    // nothing to retract.  Swap-remove — pending order is immaterial.
+    if (slot != 0) {
+      const std::uint32_t index = slot - 1;
+      slot = 0;
+      if (index + 1 != out.pending.size()) {
+        out.pending[index] = std::move(out.pending.back());
+        pending_slot_[out.pending[index].id * neighbors_.size() + pos] =
+            index + 1;
+      }
+      out.pending.pop_back();
     }
-    if (out.advertised.contains(prefix)) {
-      out.pending[prefix] = std::nullopt;
-    } else if (!pending_announce) {
-      return;  // neighbor never heard of it: nothing to retract
-    }
-  } else {
-    out.pending[prefix] = std::move(advert);
+    return;
   }
-  if (!out.pending.empty() && !out.mrai_armed) {
+  if (slot != 0) {
+    out.pending[slot - 1].attrs = std::move(attrs);
+  } else {
+    out.pending.push_back(Pending{id, std::move(attrs)});
+    slot = static_cast<std::uint32_t>(out.pending.size());
+  }
+  if (!out.mrai_armed) {
     out.mrai_armed = true;
-    fabric_.arm_mrai(asn_, neighbor,
-                     [this, pos, neighbor] { flush(pos, neighbor); });
+    fabric_.arm_mrai(asn_, neighbors_[pos].asn, [this, pos] { flush(pos); });
   }
 }
 
-void BgpSpeaker::flush(std::uint32_t pos, AsNumber neighbor) {
+void BgpSpeaker::flush(std::uint32_t pos) {
   Outbound& out = outbound_[pos];
   out.mrai_armed = false;
   if (out.pending.empty()) return;
-  // Sorted snapshot: the wire order (ascending prefix) is part of the
-  // byte-identical-records contract and must not depend on table layout.
-  const std::vector<net::Ipv4Prefix> prefixes = out.pending.sorted_keys();
+  // Records go out in ascending prefix order, never in the order the
+  // fabric first saw the prefixes.
+  std::sort(out.pending.begin(), out.pending.end(),
+            [this](const Pending& a, const Pending& b) {
+              return fabric_.prefix_of(a.id) < fabric_.prefix_of(b.id);
+            });
   UpdateMessage message = message_recycler().acquire();
   message.announces.clear();
   message.withdraws.clear();
-  message.announces.reserve(prefixes.size());
-  for (const net::Ipv4Prefix& prefix : prefixes) {
-    std::optional<RouteAdvert>& advert = *out.pending.find(prefix);
-    if (advert.has_value()) {
-      message.announces.push_back(std::move(*advert));
-      out.advertised.insert(prefix);
+  message.announces.reserve(out.pending.size());
+  for (Pending& delta : out.pending) {
+    const std::size_t cell = delta.id * neighbors_.size() + pos;
+    pending_slot_[cell] = 0;
+    const net::Ipv4Prefix& prefix = fabric_.prefix_of(delta.id);
+    if (delta.attrs) {
+      message.announces.push_back(RouteAdvert{prefix, std::move(delta.attrs)});
+      advertised_[cell] = true;
     } else {
       message.withdraws.push_back(prefix);
-      out.advertised.erase(prefix);
+      advertised_[cell] = false;
     }
   }
   out.pending.clear();
   ++stats_.updates_sent;
   stats_.routes_announced += message.announces.size();
   stats_.routes_withdrawn += message.withdraws.size();
-  fabric_.send(asn_, neighbor, std::move(message));
+  fabric_.send(asn_, neighbors_[pos].asn, std::move(message));
 }
 
 namespace {
@@ -432,6 +441,8 @@ BgpFabric::BgpFabric(const AsGraph& graph, BgpConfig config)
   origin_attrs_ = attrs_.intern(std::span<const AsNumber>{},
                                 std::span<const policy::Community>{},
                                 policy::kCustomerLocalPref);
+  prefix_ids_.reserve(config_.expected_prefixes);
+  prefixes_.reserve(config_.expected_prefixes);
   const std::vector<AsNumber>& ases = graph_.ases();
   as_index_.reserve(ases.size());
   speakers_.reserve(ases.size());
@@ -475,7 +486,29 @@ sim::SimDuration BgpFabric::session_delay(AsNumber a, AsNumber b) const {
   return config_.session_delay + sim::SimDuration::nanos(jitter_ns);
 }
 
+std::uint32_t BgpFabric::intern_prefix(const net::Ipv4Prefix& prefix) {
+  const auto [id, inserted] = prefix_ids_.try_emplace(prefix);
+  if (inserted) {
+    *id = static_cast<std::uint32_t>(prefixes_.size());
+    prefixes_.push_back(prefix);
+  }
+  return *id;
+}
+
 void BgpFabric::apply(const std::vector<RouteDelta>& batch) {
+  // Check the whole batch before touching any state or assigning any
+  // prefix id, so a rejected batch changes nothing.
+  for (const RouteDelta& delta : batch) {
+    const BgpSpeaker& owner = speaker(delta.owner);
+    if (delta.kind == RouteDelta::Kind::kRefresh && delta.session.has_value()) {
+      (void)owner.neighbor_position(*delta.session);
+    }
+  }
+  // Index every announced prefix up front: the tables the batch touches
+  // then size once, to the batch's full prefix count.
+  for (const RouteDelta& delta : batch) {
+    if (delta.kind == RouteDelta::Kind::kAnnounce) intern_prefix(delta.prefix);
+  }
   // The batch is the dirty-prefix worklist: deltas run in order, each one
   // re-deciding exactly its own prefix.  decide() reads only per-prefix
   // state (the origin bit and the per-neighbor adj entries for that
@@ -485,10 +518,13 @@ void BgpFabric::apply(const std::vector<RouteDelta>& batch) {
     BgpSpeaker& owner = speaker(delta.owner);
     switch (delta.kind) {
       case RouteDelta::Kind::kAnnounce:
-        owner.originate(delta.prefix);
+        owner.originate(*find_prefix(delta.prefix));
         break;
       case RouteDelta::Kind::kWithdraw:
-        owner.withdraw_origin(delta.prefix);
+        // A prefix the fabric never saw was never originated: a no-op.
+        if (const std::uint32_t* id = find_prefix(delta.prefix)) {
+          owner.withdraw_origin(*id);
+        }
         break;
       case RouteDelta::Kind::kRefresh:
         // A refresh is the one sanctioned policy-edit point, so the export

@@ -139,9 +139,9 @@ struct BgpConfig {
   /// Null = policy off: the decision process and export defaults follow
   /// the exact legacy path, byte-identical to pre-policy artifacts.
   std::shared_ptr<const policy::PolicyTable> policy;
-  /// Expected converged Loc-RIB size (0 = unknown).  When set, the fabric
-  /// pre-sizes each speaker's flat RIB tables so origination storms fill
-  /// them without intermediate rehashes; never affects results.
+  /// Expected number of distinct prefixes (0 = unknown).  Pre-sizes only
+  /// the fabric's prefix index; the speakers' tables size themselves from
+  /// the index.  Never affects results.
   std::size_t expected_prefixes = 0;
 };
 
@@ -194,10 +194,9 @@ class BgpSpeaker {
   [[nodiscard]] const BestRoute* best(const net::Ipv4Prefix& prefix) const;
 
   /// Loc-RIB size: the DFZ table when this AS is a tier-1.
-  [[nodiscard]] std::size_t rib_size() const noexcept { return loc_rib_.size(); }
+  [[nodiscard]] std::size_t rib_size() const noexcept { return rib_size_; }
 
-  /// All Loc-RIB prefixes, ascending (a sorted snapshot of the flat table —
-  /// the same order the former std::map RIB iterated in).
+  /// All Loc-RIB prefixes, ascending.
   [[nodiscard]] std::vector<net::Ipv4Prefix> rib_prefixes() const;
 
   [[nodiscard]] const BgpSpeakerStats& stats() const noexcept { return stats_; }
@@ -218,13 +217,13 @@ class BgpSpeaker {
   /// post-construction change goes through one audited batch surface.
   friend class BgpFabric;
 
-  /// Injects a locally originated prefix and schedules its propagation.
-  /// Reached via RouteDelta::Kind::kAnnounce.
-  void originate(const net::Ipv4Prefix& prefix);
+  /// Injects the locally originated prefix with id `id` and schedules its
+  /// propagation.  Reached via RouteDelta::Kind::kAnnounce.
+  void originate(std::uint32_t id);
 
   /// Withdraws a locally originated prefix; no-op if never originated.
   /// Reached via RouteDelta::Kind::kWithdraw.
-  void withdraw_origin(const net::Ipv4Prefix& prefix);
+  void withdraw_origin(std::uint32_t id);
 
   /// Re-runs the export leg of the decision process for every installed
   /// route, in ascending prefix order (the local half of an RFC 2918 route
@@ -242,78 +241,78 @@ class BgpSpeaker {
 
   /// Re-runs the decision process for one prefix; if the best route
   /// changed, installs it and enqueues the delta to every eligible session.
-  void decide(const net::Ipv4Prefix& prefix);
+  void decide(std::uint32_t id);
 
   /// The export fan-out for an installed best route: split horizon, the
   /// valley-free role gate (per-session policy may relax it), then the
   /// session's export map — run once per update-group, producing one
   /// shared interned advert that enqueue() fans out by reference.  Shared
   /// by decide() (all sessions) and refresh_exports() (optionally one).
-  void announce_best(const net::Ipv4Prefix& prefix, const BestRoute& winner,
+  void announce_best(std::uint32_t id, const BestRoute& winner,
                      std::optional<AsNumber> only = std::nullopt);
 
   /// Gao-Rexford: may `route` be told to a neighbor of kind `to`?
   [[nodiscard]] static bool exportable(const BestRoute& route, NeighborKind to);
 
-  /// Queues an announce/withdraw for the neighbor at session position
-  /// `pos` and arms its MRAI timer.
-  void enqueue(std::uint32_t pos, AsNumber neighbor,
-               const net::Ipv4Prefix& prefix, std::optional<RouteAdvert> advert);
-  void flush(std::uint32_t pos, AsNumber neighbor);
+  /// Grows every per-prefix table to the fabric's prefix count when `id`
+  /// lies past them.  The count is read-only during a run, so shard
+  /// workers may grow their own speakers' tables.
+  void cover(std::uint32_t id);
+
+  /// Drops the Adj-RIB-In route the neighbor at `pos` offered for `id`;
+  /// true if there was one.
+  bool drop_adj_in(std::uint32_t id, std::uint32_t pos);
+
+  /// Queues an announce (`attrs` set) or a withdraw (`attrs` null) of `id`
+  /// for the neighbor at session position `pos` and arms its MRAI timer.
+  void enqueue(std::uint32_t pos, std::uint32_t id, AttrRef attrs);
+  void flush(std::uint32_t pos);
 
   BgpFabric& fabric_;
   AsNumber asn_;
+  /// This speaker's sessions in graph order; a session's position here is
+  /// the index every per-session table uses.
+  const std::vector<AsGraph::Neighbor>& neighbors_;
 
-  // The RIB tables are open-addressing flat maps (core/flat_map.hpp): the
-  // decision process and update handling only ever do point lookups, and
-  // the two order-sensitive edges — MRAI flush emission and rib_prefixes()
-  // — take an explicit sorted snapshot, so the emitted bytes match the
-  // former std::map tables exactly while the hot path stops chasing
-  // red-black-tree nodes.  Per-neighbor tables (Adj-RIB-In, outbound) are
-  // dense vectors indexed by session position — the session set is fixed
-  // at construction.
+  // The RIB tables are dense arrays indexed by the fabric's prefix id (see
+  // BgpFabric's prefix index), sized on first touch by cover().  A
+  // per-(prefix, session) table keeps one contiguous row of degree cells
+  // per prefix, cell `id * degree + pos`, so the decision process scans one
+  // row in graph order instead of probing a table per neighbor.  Nothing
+  // emitted follows id order: MRAI flushes, refreshes and rib_prefixes()
+  // sort by prefix.
 
-  /// One Adj-RIB-In entry: the shared attributes the import chain resolved
-  /// (local_pref 0 inside the ref = no import override, use the role
-  /// default — the policy-off case never stores anything else).
-  struct AdjRoute {
+  /// Loc-RIB by prefix id; a null `attrs` means no route.
+  std::vector<BestRoute> loc_rib_;
+  std::size_t rib_size_ = 0;
+  /// Locally originated prefixes, by id.
+  std::vector<bool> origins_;
+  /// Adj-RIB-In cells: the shared attributes the import chain resolved for
+  /// what that neighbor advertised (null = nothing; local_pref 0 inside the
+  /// ref = no import override, use the role default — the policy-off case
+  /// never stores anything else).
+  std::vector<AttrRef> adj_in_;
+  /// Adj-RIB-Out ledger cells: set once a flush told the neighbor the
+  /// prefix, so a route it never heard of is never withdrawn from it.
+  std::vector<bool> advertised_;
+  /// Pending-delta cells: 1 + the delta's index in its session's
+  /// Outbound::pending, or 0 when nothing is pending.
+  std::vector<std::uint32_t> pending_slot_;
+
+  /// One queued outbound delta: an announce of `attrs`, or a withdraw when
+  /// `attrs` is null.
+  struct Pending {
+    std::uint32_t id = 0;
     AttrRef attrs;
   };
-
-  /// Adj-RIB-In: per session position, the routes that neighbor advertised.
-  /// `sized` defers the expected_prefixes reservation to first touch, so
-  /// sessions that never carry a route cost nothing.
-  struct AdjIn {
-    core::FlatMap<net::Ipv4Prefix, AdjRoute> routes;
-    bool sized = false;
-  };
-  std::vector<AdjIn> adj_in_;
-
-  /// adj_in_[pos], pre-sizing the table on first touch when the session
-  /// can carry a full table (peer/provider sessions under a known
-  /// expected_prefixes).
-  AdjIn& adj_in(std::uint32_t pos);
-
-  core::FlatMap<net::Ipv4Prefix, BestRoute> loc_rib_;
-  core::FlatSet<net::Ipv4Prefix> origins_;
-
-  /// Pending outbound deltas per session position: nullopt value =
-  /// withdraw.  `advertised` is the Adj-RIB-Out ledger, kept so a route
-  /// that was never told to a neighbor is never withdrawn from it.
-  /// `mrai_armed` tracks the pending flush timer (cleared when it fires; a
-  /// flush that finds nothing pending is a no-op, exactly like the
-  /// un-cancelled timer of the old event-handle scheme).
+  /// Per session position: the deltas the next flush sends, in no order,
+  /// and whether its MRAI timer is armed (cleared when it fires; a flush
+  /// that finds nothing pending is a no-op).
   struct Outbound {
-    core::FlatMap<net::Ipv4Prefix, std::optional<RouteAdvert>> pending;
-    core::FlatSet<net::Ipv4Prefix> advertised;
+    std::vector<Pending> pending;
     bool mrai_armed = false;
-    bool sized = false;
   };
   std::vector<Outbound> outbound_;
-
-  /// outbound_[pos], pre-sizing the Adj-RIB-Out ledger on first touch for
-  /// customer sessions (which receive the full table).
-  Outbound& outbound(std::uint32_t pos);
 
   /// ASN -> session position for this speaker's neighbors.
   core::FlatMap<AsNumber, std::uint32_t> neighbor_pos_;
@@ -375,10 +374,12 @@ class BgpFabric {
   }
 
   /// Interns (as_path, communities) and wraps them as an advert — the way
-  /// tests and micros hand-craft update messages.
+  /// tests and micros hand-craft update messages.  Also enters `prefix`
+  /// into the prefix index, so call it outside a run.
   [[nodiscard]] RouteAdvert make_advert(
       const net::Ipv4Prefix& prefix, const std::vector<AsNumber>& as_path,
       const std::vector<policy::Community>& communities = {}) {
+    intern_prefix(prefix);
     return RouteAdvert{prefix, attrs_.intern(as_path, communities, 0)};
   }
 
@@ -405,7 +406,9 @@ class BgpFabric {
   /// cascade the batch seeded.  Batches applied outside a run are
   /// cause-keyed at the current convergence instant; splitting one batch
   /// into several apply() calls (no run in between) is observationally
-  /// identical to applying it whole.
+  /// identical to applying it whole.  The whole batch is checked first: an
+  /// unknown owner, or a kRefresh session that is not one of the owner's
+  /// neighbors, throws std::out_of_range with nothing applied.
   void apply(const std::vector<RouteDelta>& batch);
 
   /// Advances the idle fabric's clock without firing anything: the gap
@@ -442,7 +445,23 @@ class BgpFabric {
   [[nodiscard]] std::uint64_t total_routes_withdrawn() const;
 
  private:
+  friend class BgpSpeaker;
+
   [[nodiscard]] sim::SimDuration session_delay(AsNumber a, AsNumber b) const;
+
+  /// The id of `prefix`, entering it into the index on first sight.
+  std::uint32_t intern_prefix(const net::Ipv4Prefix& prefix);
+  /// The id of `prefix`, or nullptr if the fabric never saw it.
+  [[nodiscard]] const std::uint32_t* find_prefix(
+      const net::Ipv4Prefix& prefix) const noexcept {
+    return prefix_ids_.find(prefix);
+  }
+  [[nodiscard]] std::size_t prefix_count() const noexcept {
+    return prefixes_.size();
+  }
+  [[nodiscard]] const net::Ipv4Prefix& prefix_of(std::uint32_t id) const {
+    return prefixes_[id];
+  }
 
   const AsGraph& graph_;
   BgpConfig config_;
@@ -455,6 +474,13 @@ class BgpFabric {
   /// AS -> dense index into speakers_ (the AS set is fixed at
   /// construction; one hash probe, then flat storage).
   core::FlatMap<AsNumber, std::uint32_t> as_index_;
+  /// The prefix index: a dense id for every prefix the fabric has seen,
+  /// keying every speaker's per-prefix tables.  Ids are assigned only on
+  /// the caller's thread — by apply() for announces and by make_advert() —
+  /// never during a run, so shard workers only read it.  Ids are never
+  /// reused.
+  core::FlatMap<net::Ipv4Prefix, std::uint32_t> prefix_ids_;
+  std::vector<net::Ipv4Prefix> prefixes_;  ///< id -> prefix
   std::vector<std::unique_ptr<BgpSpeaker>> speakers_;
 };
 

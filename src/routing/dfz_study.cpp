@@ -48,19 +48,6 @@ struct BuiltStudy {
   std::size_t mapping_entries = 0;
 };
 
-/// The event's more-specific split, relative to the study's base factor.
-[[nodiscard]] std::size_t event_total_factor(const DfzStudyConfig& config) {
-  const PolicyEvent& event = config.policy.event;
-  switch (event.kind) {
-    case PolicyEvent::Kind::kHijackMoreSpecific:
-    case PolicyEvent::Kind::kSelectiveDeagg:
-    case PolicyEvent::Kind::kBroadcastDeagg:
-      return config.deaggregation_factor * event.deagg_factor;
-    default:
-      return config.deaggregation_factor;
-  }
-}
-
 /// Resolves PolicyEvent::actor_stub's SIZE_MAX default to the last stub.
 [[nodiscard]] std::size_t resolve_actor(const PolicyEvent& event,
                                         std::size_t stub_count) {
@@ -156,12 +143,6 @@ void wire_policy(const DfzStudyConfig& config, BuiltStudy& study,
   study->stubs = study->graph->ases_of_tier(AsTier::kStub);
 
   BgpConfig bgp = config.bgp;
-  const std::size_t providers = providers_of(*study->graph).size();
-  bgp.expected_prefixes =
-      providers + (config.scenario == AddressingScenario::kLegacyBgp
-                       ? study->stubs.size() * config.deaggregation_factor +
-                             event_total_factor(config)
-                       : 0);
   if (config.policy.roles) wire_policy(config, *study, bgp);
 
   study->fabric = std::make_unique<BgpFabric>(*study->graph, bgp);
@@ -169,9 +150,13 @@ void wire_policy(const DfzStudyConfig& config, BuiltStudy& study,
   // The origination storm is one RouteDelta batch through the fabric's
   // mutation surface — the same per-delta sequence the old speaker loops
   // ran, so the converged state is byte-identical.
+  const std::vector<AsNumber> providers = providers_of(*study->graph);
   std::vector<RouteDelta> originations;
-  originations.reserve(bgp.expected_prefixes);
-  for (AsNumber provider : providers_of(*study->graph)) {
+  originations.reserve(providers.size() +
+                       (config.scenario == AddressingScenario::kLegacyBgp
+                            ? study->stubs.size() * config.deaggregation_factor
+                            : 0));
+  for (AsNumber provider : providers) {
     originations.push_back(
         RouteDelta::announce(provider, provider_aggregate(provider)));
     ++study->origin_prefixes;

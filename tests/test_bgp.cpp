@@ -319,6 +319,58 @@ TEST(Bgp, UnknownSpeakerThrows) {
                std::out_of_range);
 }
 
+/// Every speaker's counters and Loc-RIB, plus the engine's event count: the
+/// state a rejected batch must leave untouched.
+std::string fabric_state(const BgpFabric& fabric) {
+  std::ostringstream out;
+  for (AsNumber asn : fabric.graph().ases()) {
+    const BgpSpeaker& speaker = fabric.speaker(asn);
+    const BgpSpeakerStats& s = speaker.stats();
+    out << asn.to_string() << ' ' << s.updates_sent << ' '
+        << s.updates_received << ' ' << s.routes_announced << ' '
+        << s.routes_withdrawn << ' ' << s.loops_rejected << ' '
+        << s.best_changes << ' ' << s.imports_filtered << ' '
+        << s.exports_filtered << '\n';
+    for (const net::Ipv4Prefix& prefix : speaker.rib_prefixes()) {
+      const auto* best = speaker.best(prefix);
+      out << ' ' << prefix << " via " << best->learned_from.to_string();
+      for (AsNumber hop : best->as_path()) out << ' ' << hop.to_string();
+      out << '\n';
+    }
+  }
+  out << fabric.engine().events_processed() << " events\n";
+  return out.str();
+}
+
+TEST(Bgp, ApplyRejectsABatchWithAnUnknownOwnerWhole) {
+  Line line;
+  line.fabric->apply({RouteDelta::announce(
+      AsNumber{2}, net::Ipv4Prefix::from_string("100.0.16.0/20"))});
+  line.fabric->run_to_convergence();
+  const std::string before = fabric_state(*line.fabric);
+  // The good first delta must not run ahead of the bad second one.
+  EXPECT_THROW(line.fabric->apply({RouteDelta::announce(AsNumber{2}, kPrefix),
+                                   RouteDelta::announce(AsNumber{99}, kPrefix)}),
+               std::out_of_range);
+  EXPECT_TRUE(line.fabric->converged());
+  EXPECT_EQ(fabric_state(*line.fabric), before);
+  line.fabric->run_to_convergence();
+  EXPECT_EQ(line.fabric->speaker(AsNumber{1}).best(kPrefix), nullptr);
+  EXPECT_EQ(fabric_state(*line.fabric), before);
+}
+
+TEST(Bgp, ApplyRejectsARefreshTowardANonSession) {
+  Line line;
+  line.fabric->apply({RouteDelta::announce(AsNumber{2}, kPrefix)});
+  line.fabric->run_to_convergence();
+  const std::string before = fabric_state(*line.fabric);
+  // AS77 is no neighbor of AS2 (nor an AS at all).
+  EXPECT_THROW(line.fabric->apply({RouteDelta::refresh(AsNumber{2}, AsNumber{77})}),
+               std::out_of_range);
+  EXPECT_TRUE(line.fabric->converged());
+  EXPECT_EQ(fabric_state(*line.fabric), before);
+}
+
 TEST(Bgp, ConvergedMeansNoForegroundWork) {
   Line line;
   EXPECT_TRUE(line.fabric->converged());
