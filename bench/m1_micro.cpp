@@ -385,32 +385,6 @@ std::vector<Micro> registry() {
     }});
   }
 
-  // Building the F2 synthetic Internet from scratch vs forking the shared
-  // copy-on-write snapshot (what every same-shape sweep point after the
-  // first now does inside Runner::run's scope).
-  {
-    routing::SyntheticInternetConfig config;
-    config.stub_count = 200;
-    micros.push_back({"internet build/full", [config] {
-      return std::function<void(std::uint64_t)>([config](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          keep(routing::build_synthetic_internet(config).size());
-        }
-      });
-    }});
-
-    micros.push_back({"internet fork/cow", [config] {
-      auto scope = std::make_shared<routing::SyntheticInternetScope>();
-      const auto primed = routing::shared_synthetic_internet(config);
-      return std::function<void(std::uint64_t)>(
-          [scope, primed, config](std::uint64_t iters) {
-            for (std::uint64_t i = 0; i < iters; ++i) {
-              keep(routing::shared_synthetic_internet(config).get());
-            }
-          });
-    }});
-  }
-
   // One stub flap on the 1k-stub F2 Internet: the full-replay arm rebuilds
   // and re-converges the whole world around the flap (the pre-incremental
   // measurement model), the incremental arm applies two RouteDelta batches
@@ -437,13 +411,21 @@ std::vector<Micro> registry() {
     }});
 
     micros.push_back({"flap reconverge/incremental", [study] {
-      // Untimed: build and converge the world once.
-      const auto graph = routing::shared_synthetic_internet(study.internet);
-      auto fabric = std::make_shared<routing::BgpFabric>(*graph, study.bgp);
+      // Untimed: build and converge the world once.  The fabric holds a
+      // reference to the graph, so one object owns both, graph first.
+      struct World {
+        explicit World(const routing::DfzStudyConfig& config)
+            : graph(routing::build_synthetic_internet(config.internet)),
+              fabric(graph, config.bgp) {}
+        const routing::AsGraph graph;
+        routing::BgpFabric fabric;
+      };
+      const auto world = std::make_shared<World>(study);
+      const routing::AsGraph& graph = world->graph;
       std::vector<routing::RouteDelta> originations;
-      const auto stubs = graph->ases_of_tier(routing::AsTier::kStub);
-      for (routing::AsNumber asn : graph->ases()) {
-        if (graph->tier(asn) == routing::AsTier::kStub) continue;
+      const auto stubs = graph.ases_of_tier(routing::AsTier::kStub);
+      for (routing::AsNumber asn : graph.ases()) {
+        if (graph.tier(asn) == routing::AsTier::kStub) continue;
         originations.push_back(routing::RouteDelta::announce(
             asn, routing::provider_aggregate(asn)));
       }
@@ -451,18 +433,19 @@ std::vector<Micro> registry() {
         originations.push_back(routing::RouteDelta::announce(
             stubs[i], routing::stub_site_prefixes(i, 1).front()));
       }
-      fabric->apply(originations);
-      fabric->run_to_convergence();
+      world->fabric.apply(originations);
+      world->fabric.run_to_convergence();
       const routing::AsNumber mover = stubs.front();
       const net::Ipv4Prefix prefix = routing::stub_site_prefixes(0, 1).front();
       return std::function<void(std::uint64_t)>(
-          [fabric, mover, prefix](std::uint64_t iters) {
+          [world, mover, prefix](std::uint64_t iters) {
+            routing::BgpFabric& fabric = world->fabric;
             for (std::uint64_t i = 0; i < iters; ++i) {
-              fabric->apply({routing::RouteDelta::withdraw(mover, prefix)});
-              fabric->run_to_convergence();
-              fabric->apply({routing::RouteDelta::announce(mover, prefix)});
-              fabric->run_to_convergence();
-              keep(fabric->last_run_events());
+              fabric.apply({routing::RouteDelta::withdraw(mover, prefix)});
+              fabric.run_to_convergence();
+              fabric.apply({routing::RouteDelta::announce(mover, prefix)});
+              fabric.run_to_convergence();
+              keep(fabric.last_run_events());
             }
           });
     }});

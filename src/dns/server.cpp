@@ -43,12 +43,6 @@ const Delegation* Zone::find_delegation(const DomainName& name) const noexcept {
   return best;
 }
 
-std::size_t Zone::record_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [name, records] : a_records_) n += records.size();
-  return n;
-}
-
 DnsServer::DnsServer(sim::Network& network, std::string name,
                      net::Ipv4Address address, Zone zone,
                      sim::SimDuration processing_delay)

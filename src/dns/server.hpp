@@ -46,8 +46,6 @@ class Zone {
   [[nodiscard]] const Delegation* find_delegation(
       const DomainName& name) const noexcept;
 
-  [[nodiscard]] std::size_t record_count() const noexcept;
-
  private:
   DomainName origin_;
   std::unordered_map<DomainName, std::vector<ResourceRecord>> a_records_;

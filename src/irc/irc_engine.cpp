@@ -31,7 +31,6 @@ IrcEngine::IrcEngine(sim::Network& network, std::vector<BorderLink> links,
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const sim::NodeId far = links_[i].link->peer_of(links_[i].xtr);
     state_[i].ingress_window = links_[i].link->open_window(far);
-    state_[i].egress_window = links_[i].link->open_window(links_[i].xtr);
   }
   recompute_weights();
 }
@@ -47,14 +46,9 @@ void IrcEngine::refresh() {
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const sim::NodeId far = links_[i].link->peer_of(links_[i].xtr);
     const double in_sample = links_[i].link->utilization(far, state_[i].ingress_window);
-    const double out_sample =
-        links_[i].link->utilization(links_[i].xtr, state_[i].egress_window);
     state_[i].ingress_ewma = config_.ewma_alpha * in_sample +
                              (1.0 - config_.ewma_alpha) * state_[i].ingress_ewma;
-    state_[i].egress_ewma = config_.ewma_alpha * out_sample +
-                            (1.0 - config_.ewma_alpha) * state_[i].egress_ewma;
     state_[i].ingress_window = links_[i].link->open_window(far);
-    state_[i].egress_window = links_[i].link->open_window(links_[i].xtr);
   }
   recompute_weights();
   network_.sim().schedule_daemon(config_.refresh_interval, [this] { refresh(); });
@@ -160,10 +154,6 @@ lisp::MapEntry IrcEngine::site_mapping(const net::Ipv4Prefix& eid_prefix) const 
 
 double IrcEngine::ingress_load(std::size_t i) const {
   return state_.at(i).ingress_ewma;
-}
-
-double IrcEngine::egress_load(std::size_t i) const {
-  return state_.at(i).egress_ewma;
 }
 
 void IrcEngine::set_link_usable(std::size_t i, bool usable) {

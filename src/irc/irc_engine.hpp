@@ -70,8 +70,6 @@ class IrcEngine {
 
   /// Smoothed inbound utilization (0..1) of border link `i`.
   [[nodiscard]] double ingress_load(std::size_t i) const;
-  /// Smoothed outbound utilization (0..1) of border link `i`.
-  [[nodiscard]] double egress_load(std::size_t i) const;
 
   [[nodiscard]] const std::vector<BorderLink>& links() const noexcept {
     return links_;
@@ -85,9 +83,7 @@ class IrcEngine {
  private:
   struct LinkState {
     sim::LinkWindow ingress_window;
-    sim::LinkWindow egress_window;
     double ingress_ewma = 0.0;
-    double egress_ewma = 0.0;
     // Smooth weighted round robin state.
     double weight = 1.0;
     double wrr_credit = 0.0;

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/flat_map.hpp"
@@ -63,14 +62,6 @@ class MapCache {
   [[nodiscard]] const MapEntry* lookup_batch(net::Ipv4Address eid,
                                              std::uint64_t count,
                                              sim::SimTime now);
-
-  /// As lookup(), but returns an owned copy (convenience for tests and
-  /// callers that outlive the next mutation).
-  [[nodiscard]] std::optional<MapEntry> lookup_copy(net::Ipv4Address eid,
-                                                    sim::SimTime now) {
-    const MapEntry* entry = lookup(eid, now);
-    return entry == nullptr ? std::nullopt : std::optional<MapEntry>(*entry);
-  }
 
   /// Inserts or replaces the entry for its EID prefix, stamped at `now`.
   /// Eviction runs if the cache is over capacity.

@@ -1,5 +1,6 @@
 #include "mapping/mapping_system.hpp"
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -72,151 +73,115 @@ MappingSystemStats MappingSystem::stats() const { return {}; }
 
 namespace {
 
-void register_builtins(MappingSystemFactory& factory) {
-  using Registration = MappingSystemFactory::Registration;
-  using Spec = topo::InternetSpec;
+/// One row of the factory's table.
+struct KindRow {
+  ControlPlaneKind kind;
+  const char* name;
+  /// Included when benches enumerate "the compared control planes"
+  /// (baselines like plain-IP are not).
+  bool in_comparison_set;
+  /// The miss policy the kind's preset sets; nullopt leaves the spec's.
+  std::optional<lisp::MissPolicy> miss_policy;
+};
 
-  auto simple = [](auto make_system) {
-    return [make_system](const Spec& spec) -> std::unique_ptr<MappingSystem> {
-      (void)spec;
-      return make_system();
-    };
-  };
+constexpr KindRow kKinds[] = {
+    {ControlPlaneKind::kPlainIp, "plain-ip", false, std::nullopt},
+    {ControlPlaneKind::kNoMapping, "lisp-none", false, std::nullopt},
+    {ControlPlaneKind::kAltDrop, "lisp-alt(drop)", true,
+     lisp::MissPolicy::kDrop},
+    {ControlPlaneKind::kAltQueue, "lisp-alt(queue)", true,
+     lisp::MissPolicy::kQueue},
+    {ControlPlaneKind::kAltForward, "lisp-alt(cp-fwd)", true,
+     lisp::MissPolicy::kForwardOverlay},
+    {ControlPlaneKind::kCons, "lisp-cons", true, lisp::MissPolicy::kDrop},
+    {ControlPlaneKind::kNerd, "lisp-nerd", true, std::nullopt},
+    {ControlPlaneKind::kMapServer, "lisp-ms", true, lisp::MissPolicy::kDrop},
+    {ControlPlaneKind::kMsReplicated, "lisp-ms-repl", true,
+     lisp::MissPolicy::kDrop},
+    {ControlPlaneKind::kPce, "lisp-pce", true, std::nullopt},
+};
 
-  factory.register_kind(Registration{
-      ControlPlaneKind::kPlainIp, "plain-ip", /*in_comparison_set=*/false,
-      nullptr, simple([] { return std::make_unique<PlainIpSystem>(); })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kNoMapping, "lisp-none", /*in_comparison_set=*/false,
-      nullptr, simple([] { return std::make_unique<NoMappingSystem>(); })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kAltDrop, "lisp-alt(drop)", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kDrop; },
-      simple([] {
-        return std::make_unique<AltOverlaySystem>(ControlPlaneKind::kAltDrop,
-                                                  OverlayMode::kAlt);
-      })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kAltQueue, "lisp-alt(queue)", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kQueue; },
-      simple([] {
-        return std::make_unique<AltOverlaySystem>(ControlPlaneKind::kAltQueue,
-                                                  OverlayMode::kAlt);
-      })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kAltForward, "lisp-alt(cp-fwd)", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kForwardOverlay; },
-      simple([] {
-        return std::make_unique<AltOverlaySystem>(ControlPlaneKind::kAltForward,
-                                                  OverlayMode::kAlt);
-      })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kCons, "lisp-cons", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kDrop; },
-      simple([] {
-        return std::make_unique<AltOverlaySystem>(ControlPlaneKind::kCons,
-                                                  OverlayMode::kCons);
-      })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kNerd, "lisp-nerd", true, nullptr,
-      simple([] { return std::make_unique<NerdSystem>(); })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kMapServer, "lisp-ms", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kDrop; },
-      simple([] { return std::make_unique<MapServerSystem>(); })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kMsReplicated, "lisp-ms-repl", true,
-      [](Spec& spec) { spec.miss_policy = lisp::MissPolicy::kDrop; },
-      simple([] { return std::make_unique<ReplicatedResolverSystem>(); })});
-  factory.register_kind(Registration{
-      ControlPlaneKind::kPce, "lisp-pce", true, nullptr,
-      simple([] { return std::make_unique<PceSystem>(); })});
-}
-
-}  // namespace
-
-MappingSystemFactory& MappingSystemFactory::instance() {
-  static MappingSystemFactory factory = [] {
-    MappingSystemFactory f;
-    register_builtins(f);
-    return f;
-  }();
-  return factory;
-}
-
-void MappingSystemFactory::register_kind(Registration registration) {
-  if (!registration.create) {
-    throw std::invalid_argument(
-        "MappingSystemFactory::register_kind: null creator");
-  }
-  for (auto& existing : registrations_) {
-    if (existing.kind == registration.kind) {
-      existing = std::move(registration);
-      return;
-    }
-  }
-  registrations_.push_back(std::move(registration));
-}
-
-const MappingSystemFactory::Registration* MappingSystemFactory::find(
-    ControlPlaneKind kind) const noexcept {
-  for (const auto& registration : registrations_) {
-    if (registration.kind == kind) return &registration;
+const KindRow* find_row(ControlPlaneKind kind) noexcept {
+  for (const KindRow& row : kKinds) {
+    if (row.kind == kind) return &row;
   }
   return nullptr;
 }
 
+[[noreturn]] void throw_unknown(const char* caller, ControlPlaneKind kind) {
+  throw std::invalid_argument(std::string("MappingSystemFactory::") + caller +
+                              ": unknown control plane kind " +
+                              std::to_string(static_cast<int>(kind)));
+}
+
+}  // namespace
+
+const MappingSystemFactory& MappingSystemFactory::instance() {
+  static constexpr MappingSystemFactory factory{};
+  return factory;
+}
+
 bool MappingSystemFactory::contains(ControlPlaneKind kind) const noexcept {
-  return find(kind) != nullptr;
+  return find_row(kind) != nullptr;
 }
 
 const char* MappingSystemFactory::name(ControlPlaneKind kind) const {
-  const auto* registration = find(kind);
-  return registration == nullptr ? "?" : registration->name;
+  const KindRow* row = find_row(kind);
+  return row == nullptr ? "?" : row->name;
 }
 
 void MappingSystemFactory::apply_preset(ControlPlaneKind kind,
                                         topo::InternetSpec& spec) const {
-  const auto* registration = find(kind);
-  if (registration == nullptr) {
-    throw std::invalid_argument(
-        "MappingSystemFactory::apply_preset: unregistered control plane kind " +
-        std::to_string(static_cast<int>(kind)));
-  }
+  const KindRow* row = find_row(kind);
+  if (row == nullptr) throw_unknown("apply_preset", kind);
   spec.kind = kind;
-  if (registration->apply_preset) registration->apply_preset(spec);
+  if (row->miss_policy.has_value()) spec.miss_policy = *row->miss_policy;
 }
 
 std::unique_ptr<MappingSystem> MappingSystemFactory::create(
     const topo::InternetSpec& spec) const {
-  const auto* registration = find(spec.kind);
-  if (registration == nullptr) {
-    throw std::invalid_argument(
-        "MappingSystemFactory::create: unregistered control plane kind " +
-        std::to_string(static_cast<int>(spec.kind)));
+  switch (spec.kind) {
+    case ControlPlaneKind::kPlainIp:
+      return std::make_unique<PlainIpSystem>();
+    case ControlPlaneKind::kNoMapping:
+      return std::make_unique<NoMappingSystem>();
+    case ControlPlaneKind::kAltDrop:
+    case ControlPlaneKind::kAltQueue:
+    case ControlPlaneKind::kAltForward:
+      return std::make_unique<AltOverlaySystem>(spec.kind, OverlayMode::kAlt);
+    case ControlPlaneKind::kCons:
+      return std::make_unique<AltOverlaySystem>(spec.kind, OverlayMode::kCons);
+    case ControlPlaneKind::kNerd:
+      return std::make_unique<NerdSystem>();
+    case ControlPlaneKind::kMapServer:
+      return std::make_unique<MapServerSystem>();
+    case ControlPlaneKind::kMsReplicated:
+      return std::make_unique<ReplicatedResolverSystem>();
+    case ControlPlaneKind::kPce:
+      return std::make_unique<PceSystem>();
   }
-  return registration->create(spec);
+  throw_unknown("create", spec.kind);
 }
 
 std::vector<ControlPlaneKind> MappingSystemFactory::kinds() const {
   std::vector<ControlPlaneKind> out;
-  out.reserve(registrations_.size());
-  for (const auto& registration : registrations_) out.push_back(registration.kind);
+  out.reserve(std::size(kKinds));
+  for (const KindRow& row : kKinds) out.push_back(row.kind);
   return out;
 }
 
 std::vector<ControlPlaneKind> MappingSystemFactory::comparison_kinds() const {
   std::vector<ControlPlaneKind> out;
-  for (const auto& registration : registrations_) {
-    if (registration.in_comparison_set) out.push_back(registration.kind);
+  for (const KindRow& row : kKinds) {
+    if (row.in_comparison_set) out.push_back(row.kind);
   }
   return out;
 }
 
 std::optional<ControlPlaneKind> MappingSystemFactory::find_kind(
     std::string_view name) const noexcept {
-  for (const auto& registration : registrations_) {
-    if (name == registration.name) return registration.kind;
+  for (const KindRow& row : kKinds) {
+    if (name == row.name) return row.kind;
   }
   return std::nullopt;
 }

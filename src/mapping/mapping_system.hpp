@@ -1,7 +1,7 @@
 // mapping_system.hpp — the pluggable mapping-system seam.
 //
 // The paper's contribution is a comparison across mapping control planes;
-// this interface makes each one a first-class, registered component instead
+// this interface makes each one a first-class component instead
 // of a set of boolean flags wired through the topology builder.  One
 // MappingSystem instance owns everything a control plane adds to the
 // emulated Internet:
@@ -16,14 +16,12 @@
 //
 // topo::Internet::build() drives this lifecycle for whatever kind the spec
 // selects; it neither knows nor branches on which system is present.
-// Systems are created through the MappingSystemFactory registry, so adding
-// a control plane is a registration —
-// MappingSystemFactory::instance().register_kind(...) — not a surgery
-// across topo/, lisp/ and every bench.
+// Systems are created through MappingSystemFactory, a constant table, so
+// adding a control plane is one table row and one constructor case in
+// mapping_system.cpp — not a surgery across topo/, lisp/ and every bench.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -44,9 +42,9 @@ struct DomainHandle;
 
 namespace lispcp::mapping {
 
-/// The control planes the experiments compare.  Registered kinds are
-/// enumerable through the factory; benches iterate the registry instead of
-/// hard-coding this list.
+/// The control planes the experiments compare.  The kinds are enumerable
+/// through the factory; benches iterate it instead of hard-coding this
+/// list.
 enum class ControlPlaneKind {
   kPlainIp,      ///< pre-LISP Internet: EIDs globally routed, no tunnels
   kNoMapping,    ///< LISP encapsulation with no mapping distribution at all
@@ -109,28 +107,13 @@ class MappingSystem {
   [[nodiscard]] virtual MappingSystemStats stats() const;
 };
 
-/// Registry of mapping-system kinds.  A registration carries everything the
-/// rest of the codebase needs to treat the kind uniformly: its display
-/// name, the spec defaults its preset applies, whether comparative benches
-/// include it, and the constructor.
+/// The table of mapping-system kinds, fixed at compile time.  Each row
+/// carries everything the rest of the codebase needs to treat the kind
+/// uniformly: its display name, the spec defaults its preset applies,
+/// whether comparative benches include it, and how to construct it.
 class MappingSystemFactory {
  public:
-  struct Registration {
-    ControlPlaneKind kind{};
-    const char* name = "?";
-    /// Included when benches enumerate "the compared control planes"
-    /// (baselines like plain-IP register with false).
-    bool in_comparison_set = true;
-    /// Preset spec defaults for this kind (miss policy etc.); may be null.
-    std::function<void(topo::InternetSpec&)> apply_preset;
-    std::function<std::unique_ptr<MappingSystem>(const topo::InternetSpec&)>
-        create;
-  };
-
-  [[nodiscard]] static MappingSystemFactory& instance();
-
-  /// Registers (or replaces) a kind.
-  void register_kind(Registration registration);
+  [[nodiscard]] static const MappingSystemFactory& instance();
 
   [[nodiscard]] bool contains(ControlPlaneKind kind) const noexcept;
   [[nodiscard]] const char* name(ControlPlaneKind kind) const;
@@ -140,21 +123,17 @@ class MappingSystemFactory {
   [[nodiscard]] std::unique_ptr<MappingSystem> create(
       const topo::InternetSpec& spec) const;
 
-  /// Every registered kind, in registration order.
+  /// Every kind, in table order.
   [[nodiscard]] std::vector<ControlPlaneKind> kinds() const;
   /// The kinds comparative benches enumerate.
   [[nodiscard]] std::vector<ControlPlaneKind> comparison_kinds() const;
-  /// Reverse lookup by registered display name ("lisp-pce" -> kPce); the
-  /// seam CLI flags and sweep filters resolve user-supplied names through.
+  /// Reverse lookup by display name ("lisp-pce" -> kPce); the seam CLI
+  /// flags and sweep filters resolve user-supplied names through.
   [[nodiscard]] std::optional<ControlPlaneKind> find_kind(
       std::string_view name) const noexcept;
 
  private:
   MappingSystemFactory() = default;
-
-  const Registration* find(ControlPlaneKind kind) const noexcept;
-
-  std::vector<Registration> registrations_;
 };
 
 }  // namespace lispcp::mapping

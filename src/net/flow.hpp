@@ -63,7 +63,6 @@ struct FlowWireModel {
 class NonceSequence {
  public:
   [[nodiscard]] std::uint64_t next() noexcept { return next_++; }
-  [[nodiscard]] std::uint64_t last_issued() const noexcept { return next_ - 1; }
 
  private:
   std::uint64_t next_ = 1;

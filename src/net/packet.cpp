@@ -1,6 +1,5 @@
 #include "net/packet.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace lispcp::net {
@@ -12,14 +11,6 @@ std::size_t header_wire_size(const Header& h) noexcept {
 }
 
 }  // namespace
-
-std::uint64_t Packet::next_id() noexcept {
-  // Atomic: sweep points run concurrently, one simulation per thread.  Ids
-  // only need to be unique (trace correlation); nothing branches on their
-  // absolute values, so cross-thread interleaving cannot perturb results.
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 Packet Packet::udp(Ipv4Address src, Ipv4Address dst, std::uint16_t src_port,
                    std::uint16_t dst_port, PayloadPtr payload, std::uint8_t ttl) {

@@ -105,7 +105,6 @@ class Packet {
   /// LISP shim header, if the packet is LISP-encapsulated.
   [[nodiscard]] const LispHeader* lisp() const noexcept;
 
-  void set_payload(PayloadPtr p) noexcept { payload_ = std::move(p); }
   [[nodiscard]] const PayloadPtr& payload() const noexcept { return payload_; }
 
   /// Typed payload accessor; nullptr when the payload is absent or of a
@@ -122,8 +121,11 @@ class Packet {
   /// byte sequence a real stack would transmit.
   [[nodiscard]] std::vector<std::byte> serialize() const;
 
-  /// Monotonically increasing id assigned at construction, for tracing.
+  /// Trace id: 0 until the packet first enters a sim::Network, which then
+  /// numbers it 1, 2, ... in injection order.  Encapsulation, decapsulation
+  /// and re-injection keep it.
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+  void set_id(std::uint64_t id) noexcept { id_ = id; }
 
   /// Human-readable summary of the header stack and payload.
   [[nodiscard]] std::string describe() const;
@@ -131,9 +133,7 @@ class Packet {
  private:
   std::vector<Header> stack_;
   PayloadPtr payload_;
-  std::uint64_t id_ = next_id();
-
-  static std::uint64_t next_id() noexcept;
+  std::uint64_t id_ = 0;
 };
 
 }  // namespace lispcp::net

@@ -167,21 +167,4 @@ AsGraph build_synthetic_internet(const SyntheticInternetConfig& config) {
   return graph;
 }
 
-namespace {
-
-core::SnapshotCache<SyntheticInternetConfig, AsGraph>& internet_cache() {
-  static core::SnapshotCache<SyntheticInternetConfig, AsGraph> cache;
-  return cache;
-}
-
-}  // namespace
-
-std::shared_ptr<const AsGraph> shared_synthetic_internet(
-    const SyntheticInternetConfig& config) {
-  return internet_cache().acquire(
-      config, [&config] { return build_synthetic_internet(config); });
-}
-
-SyntheticInternetScope::SyntheticInternetScope() : scope_(internet_cache()) {}
-
 }  // namespace lispcp::routing

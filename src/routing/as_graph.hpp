@@ -15,14 +15,12 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/snapshot_cache.hpp"
 #include "sim/rng.hpp"
 
 namespace lispcp::routing {
@@ -138,11 +136,6 @@ struct SyntheticInternetConfig {
   /// Probability that two transit ASes sharing a tier-1 provider also peer.
   double transit_peering_probability = 0.2;
   std::uint64_t seed = 1;
-
-  /// Equality is the snapshot-cache key: the built graph is a pure function
-  /// of these fields.
-  friend bool operator==(const SyntheticInternetConfig&,
-                         const SyntheticInternetConfig&) = default;
 };
 
 /// Builds the three-tier synthetic Internet.  Deterministic for a given
@@ -150,24 +143,6 @@ struct SyntheticInternetConfig {
 ///
 /// AS numbering: tier-1s get 1..T1, transits T1+1..T1+T, stubs follow.
 [[nodiscard]] AsGraph build_synthetic_internet(const SyntheticInternetConfig& config);
-
-/// Copy-on-write variant: inside a SyntheticInternetScope (opened by
-/// scenario::Runner::run around its point loop), points whose configs are
-/// equal fork one shared immutable graph instead of each rebuilding it —
-/// the F2 sweep's (scenario × deaggregation) arms differ only in what they
-/// originate, not in topology.  Outside any scope this is a plain build.
-/// The graph is deterministic, so sharing can never change results.
-[[nodiscard]] std::shared_ptr<const AsGraph> shared_synthetic_internet(
-    const SyntheticInternetConfig& config);
-
-/// Retains shared_synthetic_internet snapshots while alive (RAII).
-class SyntheticInternetScope {
- public:
-  SyntheticInternetScope();
-
- private:
-  core::SnapshotCache<SyntheticInternetConfig, AsGraph>::Scope scope_;
-};
 
 }  // namespace lispcp::routing
 

@@ -35,10 +35,13 @@ constexpr int kProviderAggregateLength = 12;
 }
 
 struct BuiltStudy {
-  /// Shared immutable topology (copy-on-write fork: every point of a sweep
-  /// with the same SyntheticInternetConfig reads one graph; the mutable
-  /// per-run state — speakers, RIBs, queues — lives in the fabric).
-  std::shared_ptr<const AsGraph> graph;
+  explicit BuiltStudy(const SyntheticInternetConfig& config)
+      : graph(build_synthetic_internet(config)) {}
+
+  /// This study's own topology.  The fabric holds a reference to it, so it
+  /// is declared first and never moves (BuiltStudy lives behind a
+  /// unique_ptr); the mutable per-run state lives in the fabric.
+  const AsGraph graph;
   std::unique_ptr<BgpFabric> fabric;
   /// Non-const handle on the fabric's policy table (null with roles off):
   /// event studies mutate it between convergence runs (engine idle).
@@ -71,9 +74,9 @@ struct BuiltStudy {
 /// victim's non-chosen provider sessions denying its more-specifics.
 void wire_policy(const DfzStudyConfig& config, BuiltStudy& study,
                  BgpConfig& bgp) {
-  study.table = policy::PolicyTable::gao_rexford(*study.graph);
+  study.table = policy::PolicyTable::gao_rexford(study.graph);
 
-  const AsGraph& graph = *study.graph;
+  const AsGraph& graph = study.graph;
   const auto transits = graph.ases_of_tier(AsTier::kTransit);
   const auto& stubs = study.stubs;
   std::unordered_map<std::uint32_t, std::size_t> stub_index;
@@ -138,19 +141,18 @@ void wire_policy(const DfzStudyConfig& config, BuiltStudy& study,
     throw std::invalid_argument(
         "DfzStudy: deaggregation_factor must be a power of two <= 4096");
   }
-  auto study = std::make_unique<BuiltStudy>();
-  study->graph = shared_synthetic_internet(config.internet);
-  study->stubs = study->graph->ases_of_tier(AsTier::kStub);
+  auto study = std::make_unique<BuiltStudy>(config.internet);
+  study->stubs = study->graph.ases_of_tier(AsTier::kStub);
 
   BgpConfig bgp = config.bgp;
   if (config.policy.roles) wire_policy(config, *study, bgp);
 
-  study->fabric = std::make_unique<BgpFabric>(*study->graph, bgp);
+  study->fabric = std::make_unique<BgpFabric>(study->graph, bgp);
 
   // The origination storm is one RouteDelta batch through the fabric's
   // mutation surface — the same per-delta sequence the old speaker loops
   // ran, so the converged state is byte-identical.
-  const std::vector<AsNumber> providers = providers_of(*study->graph);
+  const std::vector<AsNumber> providers = providers_of(study->graph);
   std::vector<RouteDelta> originations;
   originations.reserve(providers.size() +
                        (config.scenario == AddressingScenario::kLegacyBgp
@@ -193,8 +195,8 @@ struct FabricCounters {
   counters.updates = study.fabric->total_updates_sent();
   counters.records = study.fabric->total_routes_announced() +
                      study.fabric->total_routes_withdrawn();
-  counters.best_changes.reserve(study.graph->size());
-  for (AsNumber asn : study.graph->ases()) {
+  counters.best_changes.reserve(study.graph.size());
+  for (AsNumber asn : study.graph.ases()) {
     counters.best_changes.push_back(
         study.fabric->speaker(asn).stats().best_changes);
   }
@@ -205,7 +207,7 @@ struct FabricCounters {
                                              const FabricCounters& before) {
   std::size_t touched = 0;
   std::size_t index = 0;
-  for (AsNumber asn : study.graph->ases()) {
+  for (AsNumber asn : study.graph.ases()) {
     if (study.fabric->speaker(asn).stats().best_changes >
         before.best_changes[index]) {
       ++touched;
@@ -283,10 +285,10 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
   PolicyEventResult result;
   const FabricCounters before = snapshot_counters(study);
   std::uint64_t rib_before = 0;
-  for (AsNumber asn : study.graph->ases()) {
+  for (AsNumber asn : study.graph.ases()) {
     rib_before += study.fabric->speaker(asn).rib_size();
   }
-  const auto tier1s = study.graph->ases_of_tier(AsTier::kTier1);
+  const auto tier1s = study.graph.ases_of_tier(AsTier::kTier1);
   result.dfz_table_before = study.fabric->speaker(tier1s.front()).rib_size();
   const sim::SimTime t0 = study.fabric->now();
 
@@ -325,7 +327,7 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
     case PolicyEvent::Kind::kRouteLeak: {
       // The classic type-1 leak: the actor re-exports everything it knows
       // (including provider- and peer-learned routes) to one provider.
-      const auto providers = providers_of_stub(*study.graph, actor);
+      const auto providers = providers_of_stub(study.graph, actor);
       if (providers.empty()) {
         throw std::invalid_argument("run_churn_plan: leaker has no provider");
       }
@@ -335,7 +337,7 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
       batch.push_back(RouteDelta::refresh(actor, target));
       // Leaked traffic detours through the actor: probe the provider
       // aggregates and count ASes whose best path transits the leaker.
-      for (AsNumber provider : providers_of(*study.graph)) {
+      for (AsNumber provider : providers_of(study.graph)) {
         probes.push_back(provider_aggregate(provider));
       }
       capture = Capture::kPathThrough;
@@ -355,7 +357,7 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
       result.event_announcements = probes.size();
       // Steering success: the best path toward a more-specific transits the
       // chosen (first) provider.
-      const auto providers = providers_of_stub(*study.graph, victim);
+      const auto providers = providers_of_stub(study.graph, victim);
       if (providers.empty()) {
         throw std::invalid_argument("run_churn_plan: victim has no provider");
       }
@@ -380,7 +382,7 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
 
   std::uint64_t rib_after = 0;
   std::size_t index = 0;
-  for (AsNumber asn : study.graph->ases()) {
+  for (AsNumber asn : study.graph.ases()) {
     const BgpSpeaker& speaker = study.fabric->speaker(asn);
     rib_after += speaker.rib_size();
     if (speaker.stats().best_changes > before.best_changes[index]) {
@@ -408,7 +410,7 @@ void validate_plan(const DfzStudyConfig& config, const ChurnPlan& plan) {
   }
   result.actor_preference_fraction =
       static_cast<double>(result.ases_preferring_actor) /
-      static_cast<double>(study.graph->size());
+      static_cast<double>(study.graph.size());
   result.rib_delta =
       rib_after > rib_before ? static_cast<std::size_t>(rib_after - rib_before)
                              : 0;
@@ -553,17 +555,17 @@ DfzStudyResult run_dfz_study(const DfzStudyConfig& config) {
   result.route_records = study->fabric->total_routes_announced();
   result.convergence_ms = converged.ms();
 
-  const auto tier1s = study->graph->ases_of_tier(AsTier::kTier1);
+  const auto tier1s = study->graph.ases_of_tier(AsTier::kTier1);
   result.dfz_table_size = study->fabric->speaker(tier1s.front()).rib_size();
 
   std::uint64_t total = 0;
-  for (AsNumber asn : study->graph->ases()) {
+  for (AsNumber asn : study->graph.ases()) {
     const std::size_t size = study->fabric->speaker(asn).rib_size();
     total += size;
     result.max_rib_size = std::max(result.max_rib_size, size);
   }
   result.mean_rib_size =
-      static_cast<double>(total) / static_cast<double>(study->graph->size());
+      static_cast<double>(total) / static_cast<double>(study->graph.size());
   return result;
 }
 

@@ -292,10 +292,6 @@ class PolicyTable {
     return it == sessions_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] std::size_t session_count() const noexcept {
-    return sessions_.size();
-  }
-
  private:
   [[nodiscard]] static std::uint64_t key(AsNumber self,
                                          AsNumber neighbor) noexcept {

@@ -72,10 +72,6 @@ class ConvergenceEngine {
   ConvergenceEngine(const ConvergenceEngine&) = delete;
   ConvergenceEngine& operator=(const ConvergenceEngine&) = delete;
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] std::size_t worker_count() const noexcept { return workers_; }
   /// Home shard of `asn`; throws std::out_of_range if absent.
   [[nodiscard]] std::size_t shard_of(AsNumber asn) const;
 

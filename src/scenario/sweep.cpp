@@ -12,9 +12,7 @@
 
 #include "mapping/mapping_system.hpp"
 #include "metrics/histogram.hpp"
-#include "routing/as_graph.hpp"
 #include "sim/rng.hpp"
-#include "topo/blueprint.hpp"
 
 namespace lispcp::scenario {
 
@@ -974,15 +972,6 @@ ResultSet Runner::run(const RunOptions& options) const {
     }
     points = std::move(kept);
   }
-
-  // Copy-on-write world snapshots: while these scopes are alive, points
-  // sharing a topology shape fork prebuilt immutable state — the synthetic
-  // AS graph (DFZ executors) and the topo name/address tables — instead of
-  // rebuilding it per point.  The snapshots are shared across worker
-  // threads; both caches build under their lock, so concurrent workers
-  // wait for the first build rather than duplicating it.
-  routing::SyntheticInternetScope graph_scope;
-  topo::BlueprintScope blueprint_scope;
 
   std::vector<Record> records(points.size());
   std::vector<std::exception_ptr> errors(points.size());

@@ -52,10 +52,7 @@ class Link {
   /// endpoint.  `from` must be one of the link's endpoints.
   void transmit(NodeId from, net::Packet packet);
 
-  [[nodiscard]] NodeId endpoint_a() const noexcept { return a_; }
-  [[nodiscard]] NodeId endpoint_b() const noexcept { return b_; }
   [[nodiscard]] NodeId peer_of(NodeId n) const;
-  [[nodiscard]] bool connects(NodeId n) const noexcept { return n == a_ || n == b_; }
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
 
   /// Administrative state: a downed link silently drops everything offered

@@ -43,11 +43,6 @@ Node& Network::node(NodeId id) const {
   return *nodes_[id.value()];
 }
 
-Node* Network::find_by_address(net::Ipv4Address address) const {
-  auto it = address_index_.find(address);
-  return it == address_index_.end() ? nullptr : nodes_[it->second.value()];
-}
-
 Link& Network::connect(NodeId a, NodeId b, LinkConfig config) {
   if (a == b) throw std::invalid_argument("Network::connect: self-link");
   if (link_between(a, b) != nullptr) {
@@ -198,6 +193,8 @@ std::optional<SimDuration> HubDistances::delay(NodeId a, NodeId b) const {
 
 void Network::inject(NodeId at, net::Packet packet) {
   Node& origin = node(at);
+  // Numbered on first entry only, so a re-injected packet keeps its id.
+  if (packet.id() == 0) packet.set_id(++packet_id_counter_);
   if (tracer_ != nullptr) tracer_->on_send(sim_.now(), origin, packet);
   // Loopback: a node sending to one of its own addresses delivers locally.
   if (origin.owns(packet.outer_ip().dst)) {

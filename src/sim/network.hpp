@@ -126,14 +126,12 @@ class Network {
   /// Called by Node's constructor; assigns the NodeId.
   NodeId register_node(Node* node);
 
-  /// Called by Node::add_address to index the address for delivery.
+  /// Called by Node::add_address; throws std::logic_error if another node
+  /// already owns `address`.
   void register_address(net::Ipv4Address address, NodeId owner);
 
   [[nodiscard]] Node& node(NodeId id) const;
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-
-  /// Node owning `address`, if any.
-  [[nodiscard]] Node* find_by_address(net::Ipv4Address address) const;
 
   /// Creates a bidirectional link between `a` and `b`.
   Link& connect(NodeId a, NodeId b, LinkConfig config = {});
@@ -178,6 +176,8 @@ class Network {
   [[nodiscard]] HubDistances hub_distances(NodeId hub) const;
 
   /// Entry point for packets originated by `at` (Node::send calls this).
+  /// A packet entering for the first time (id 0) gets this network's next
+  /// packet id.
   void inject(NodeId at, net::Packet packet);
 
   /// Called by Link when a packet reaches the far end.
@@ -220,6 +220,7 @@ class Network {
   Tracer* tracer_ = nullptr;
   NetworkCounters counters_;
   std::uint64_t uid_counter_ = 0;
+  std::uint64_t packet_id_counter_ = 0;
 };
 
 }  // namespace lispcp::sim

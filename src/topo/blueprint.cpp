@@ -7,15 +7,6 @@
 
 namespace lispcp::topo {
 
-namespace {
-
-core::SnapshotCache<BlueprintShape, Blueprint>& blueprint_cache() {
-  static core::SnapshotCache<BlueprintShape, Blueprint> cache;
-  return cache;
-}
-
-}  // namespace
-
 Blueprint::Blueprint(const BlueprintShape& shape) : shape_(shape) {
   const std::size_t domains = shape.domains;
   const std::size_t hosts = shape.hosts_per_domain;
@@ -52,11 +43,6 @@ Blueprint::Blueprint(const BlueprintShape& shape) : shape_(shape) {
   }
 }
 
-std::shared_ptr<const Blueprint> Blueprint::shared(const BlueprintShape& shape) {
-  return blueprint_cache().acquire(shape,
-                                   [&shape] { return Blueprint(shape); });
-}
-
 std::vector<dns::DomainName> Blueprint::destination_names(
     std::size_t exclude_domain) const {
   std::vector<dns::DomainName> out;
@@ -70,7 +56,5 @@ std::vector<dns::DomainName> Blueprint::destination_names(
   }
   return out;
 }
-
-BlueprintScope::BlueprintScope() : scope_(blueprint_cache()) {}
 
 }  // namespace lispcp::topo

@@ -51,7 +51,7 @@ Internet::Internet(InternetSpec spec) : spec_(std::move(spec)), sim_(spec_.seed)
     throw std::invalid_argument(
         "InternetSpec: deaggregation_factor must be a power of two in [1, 64]");
   }
-  blueprint_ = Blueprint::shared(
+  blueprint_ = std::make_shared<const Blueprint>(
       BlueprintShape{spec_.domains, spec_.hosts_per_domain,
                      spec_.deaggregation_factor});
   build();
@@ -265,8 +265,6 @@ core::FailoverController& Internet::arm_failover(std::size_t d,
   dom.failover->start();
   return *dom.failover;
 }
-
-net::Ipv4Address Internet::core_address() const { return kCoreAddress; }
 
 dns::DomainName Internet::host_name(std::size_t domain, std::size_t host) const {
   return blueprint_->host_name(domain, host);

@@ -201,16 +201,13 @@ class Internet {
   core::FailoverController& arm_failover(std::size_t d,
                                          core::LinkHealthConfig health = {});
 
-  /// The core's echo-target address (border-link liveness probes).
-  [[nodiscard]] net::Ipv4Address core_address() const;
-
   /// The shared DNS hierarchy (the aggregate workload engine computes its
   /// iterative-resolution legs from these nodes' positions).
   [[nodiscard]] dns::DnsServer& root_dns() noexcept { return *root_dns_; }
   [[nodiscard]] dns::DnsServer& tld_dns() noexcept { return *tld_dns_; }
 
-  /// The shape-keyed immutable tables this Internet was built from (shared
-  /// with sibling Internets of the same shape inside a BlueprintScope).
+  /// The shape-keyed immutable tables this Internet built for itself (a
+  /// shared_ptr so the packet engine's host-name table can alias it).
   [[nodiscard]] const std::shared_ptr<const Blueprint>& blueprint() const noexcept {
     return blueprint_;
   }

@@ -313,7 +313,6 @@ void FlowAggregateEngine::complete(std::size_t rank, const Batch& batch,
   book(warm, world_.dns_warm);
   book(cold, batch.t_dns_cold);
   book(waiters, batch.t_dns_wait);
-  completed_ += flows;
 
   const auto fp = world_.wire.forward_packets();
   const auto rp = world_.wire.reverse_packets();

@@ -154,11 +154,6 @@ class FlowAggregateEngine final : public Traffic {
     return launched_;
   }
 
-  /// Flows that finished the closed-form session model successfully.
-  [[nodiscard]] std::uint64_t flows_completed() const noexcept {
-    return completed_;
-  }
-
  private:
   /// One (destination, epoch) batch.  DNS bookkeeping splits the flows into
   /// three groups, mirroring what the real resolver does to a burst hitting
@@ -233,7 +228,6 @@ class FlowAggregateEngine final : public Traffic {
   sim::SimDuration epoch_len_;
   sim::SimTime end_time_;
   std::uint64_t launched_ = 0;
-  std::uint64_t completed_ = 0;
 
   // Per-destination state exists only for the destinations this source has
   // touched: a source starts a few dozen sessions in a run that could reach

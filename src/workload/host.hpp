@@ -70,9 +70,6 @@ class Host final : public sim::Node {
   void deliver(net::Packet packet) override;
 
   [[nodiscard]] const HostStats& stats() const noexcept { return host_stats_; }
-  [[nodiscard]] std::uint64_t sessions_in_flight() const noexcept {
-    return by_port_.size() + resolving_.size();
-  }
 
  private:
   enum class State { kResolving, kConnecting, kEstablished };

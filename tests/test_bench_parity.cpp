@@ -2,10 +2,9 @@
 // E4 bench sweeps, each run at --jobs 1 vs 4 (and, for the sharded BGP
 // engine, --shards 1 vs 8), with the resulting ResultSets compared for
 // byte-identical JSON.  This is the perf program's core contract — flat
-// RIBs, arena-backed queues, recycled update buffers and copy-on-write
-// topology snapshots are allowed to change *when* work happens, never
-// *what* the records say — pinned where a failure bisects in-process
-// instead of as a CI artifact diff.
+// RIBs, arena-backed queues and recycled update buffers are allowed to
+// change *when* work happens, never *what* the records say — pinned where
+// a failure bisects in-process instead of as a CI artifact diff.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -102,7 +101,7 @@ TEST(BenchParity, F2ChurnRecordsIdenticalAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// F1 / E4 — simulator-backed sweeps (flat RIB + arena + CoW path)
+// F1 / E4 — simulator-backed sweeps (flat RIB + arena path)
 // ---------------------------------------------------------------------------
 
 /// A scaled-down F1a: de-aggregation axis crossed with two control planes

@@ -186,12 +186,6 @@ TEST(Packet, SerializedEncapsulatedPacketParses) {
   EXPECT_EQ(parsed_inner.dst, Ipv4Address(100, 64, 1, 10));
 }
 
-TEST(Packet, IdsAreUniqueAndIncreasing) {
-  Packet a;
-  Packet b;
-  EXPECT_LT(a.id(), b.id());
-}
-
 TEST(Packet, PayloadTypedAccess) {
   auto p = Packet::udp(Ipv4Address(), Ipv4Address(), 1, 2,
                        std::make_shared<RawPayload>(10));

@@ -2,6 +2,7 @@
 // globally routable), DNS reachability, OWD symmetry, Fig. 1 shape.
 #include <gtest/gtest.h>
 
+#include "topo/blueprint.hpp"
 #include "topo/internet.hpp"
 
 namespace lispcp::topo {
@@ -236,6 +237,20 @@ TEST(Topology, HostEidsMatchDnsZone) {
       EXPECT_EQ(records->front().addr, internet.host_eid(d, h));
     }
   }
+}
+
+TEST(Topology, BlueprintTablesMatchTheFormulasTheyReplace) {
+  const BlueprintShape shape{5, 3, 4};
+  const Blueprint blueprint(shape);
+  EXPECT_EQ(blueprint.host_name(2, 1).to_string(), "h1.d2.example");
+  EXPECT_EQ(blueprint.host_name(4, 0).to_string(), "h0.d4.example");
+  ASSERT_EQ(blueprint.site_prefixes(0).size(), 4u);
+  EXPECT_EQ(blueprint.site_prefixes(0).front().length(), 26);
+
+  const auto dests = blueprint.destination_names(1);
+  ASSERT_EQ(dests.size(), 4u * 3u);  // (domains - 1) * hosts, host-major
+  EXPECT_EQ(dests.front().to_string(), "h0.d0.example");
+  EXPECT_EQ(dests[1].to_string(), "h0.d2.example");
 }
 
 TEST(Topology, LargeTopologyBuildsQuickly) {

@@ -58,14 +58,27 @@ TEST(RecordingTracer, RecordsLifecycleInOrder) {
 
 TEST(RecordingTracer, PacketJourneyFollowsOnePacket) {
   Fixture f;
-  auto p1 = f.packet();
-  const auto id1 = p1.id();
-  f.a->send(std::move(p1));
+  f.a->send(f.packet());
   f.a->send(f.packet());
   f.sim.run();
+  // Ids are assigned as packets enter the network, in injection order.
+  const auto id1 = f.tracer.records().front().packet_id;
+  EXPECT_EQ(id1, 1u);
   const auto journey = f.tracer.packet_journey(id1);
   ASSERT_EQ(journey.size(), 4u);
   for (const auto& rec : journey) EXPECT_EQ(rec.packet_id, id1);
+  EXPECT_EQ(f.tracer.packet_journey(2).size(), 4u);
+}
+
+TEST(RecordingTracer, ReinjectedPacketKeepsItsId) {
+  Fixture f;
+  auto numbered = f.packet();
+  numbered.set_id(7);  // as if it had entered once already
+  f.a->send(std::move(numbered));
+  f.a->send(f.packet());
+  f.sim.run();
+  EXPECT_EQ(f.tracer.packet_journey(7).size(), 4u);
+  EXPECT_EQ(f.tracer.packet_journey(1).size(), 4u);
 }
 
 TEST(RecordingTracer, FilterSelectsEvents) {
@@ -118,6 +131,20 @@ TEST(RecordingTracer, TextOutputOneLinePerRecord) {
             f.tracer.records().size());
   EXPECT_NE(text.find("SEND @alpha"), std::string::npos);
   EXPECT_NE(text.find("DELIVER @beta"), std::string::npos);
+}
+
+TEST(RecordingTracer, TextIndependentOfEarlierSimulations) {
+  const auto trace = [] {
+    Fixture f;
+    f.a->send(f.packet());
+    f.sim.run();
+    std::ostringstream os;
+    f.tracer.write_text(os);
+    return os.str();
+  };
+  const std::string first = trace();
+  EXPECT_NE(first.find("#1 "), std::string::npos);
+  EXPECT_EQ(trace(), first);
 }
 
 TEST(RecordingTracer, ClearResets) {
